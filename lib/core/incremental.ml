@@ -231,8 +231,7 @@ let create (chain : Chain.t) =
 let n t = t.n
 let total_weight t = Fenwick.prefix t.fen t.n
 
-let chain t =
-  Chain.make ~alpha:(Array.copy t.alpha) ~beta:(Array.copy t.beta)
+let chain t = Chain.make ~alpha:t.alpha ~beta:t.beta
 
 (* Same component boundaries as Chain.component_weights on the
    materialized chain, but via prefix sums so the incremental path

@@ -1,20 +1,26 @@
 type t = { alpha : int array; beta : int array }
 
-let make ~alpha ~beta =
+(* Plain loops, not [Array.iter] closures: a decoded n=20000 instance
+   is validated once per request on the serve path. *)
+let of_owned ~alpha ~beta =
   let n = Array.length alpha in
   if n = 0 then invalid_arg "Chain.make: empty chain";
   if Array.length beta <> n - 1 then
     invalid_arg "Chain.make: need exactly n-1 edge weights";
-  Array.iter
-    (fun w -> if w <= 0 then invalid_arg "Chain.make: vertex weights must be positive")
-    alpha;
-  Array.iter
-    (fun w -> if w <= 0 then invalid_arg "Chain.make: edge weights must be positive")
-    beta;
-  { alpha = Array.copy alpha; beta = Array.copy beta }
+  for i = 0 to n - 1 do
+    if alpha.(i) <= 0 then
+      invalid_arg "Chain.make: vertex weights must be positive"
+  done;
+  for i = 0 to n - 2 do
+    if beta.(i) <= 0 then invalid_arg "Chain.make: edge weights must be positive"
+  done;
+  { alpha; beta }
+
+let make ~alpha ~beta =
+  of_owned ~alpha:(Array.copy alpha) ~beta:(Array.copy beta)
 
 let of_lists alphas betas =
-  make ~alpha:(Array.of_list alphas) ~beta:(Array.of_list betas)
+  of_owned ~alpha:(Array.of_list alphas) ~beta:(Array.of_list betas)
 
 let n c = Array.length c.alpha
 

@@ -15,7 +15,14 @@ type t = private {
 }
 
 val make : alpha:int array -> beta:int array -> t
-(** Validates lengths and positivity.  Raises [Invalid_argument]. *)
+(** Validates lengths and positivity.  Raises [Invalid_argument].
+    Copies both arrays, so the caller may go on mutating its own. *)
+
+val of_owned : alpha:int array -> beta:int array -> t
+(** Same validation and the same [Invalid_argument] messages as
+    {!make}, but takes ownership of both arrays instead of copying
+    them: the caller must not mutate them afterwards.  For arrays the
+    caller has just built, such as a decoded request. *)
 
 val of_lists : int list -> int list -> t
 (** [of_lists alphas betas]. *)

@@ -52,7 +52,7 @@ let parse text =
                    "line %d: chain instances have at most two data lines"
                    lineno)
         in
-        Ok (Chain_instance (Chain.make ~alpha ~beta))
+        Ok (Chain_instance (Chain.of_owned ~alpha ~beta))
     | (_, "tree") :: weights_line :: edge_lines ->
         let weights = Array.of_list (ints_of_line weights_line) in
         let edges =

@@ -62,11 +62,7 @@ let checked_count r what count =
 
 let read_varint_array r what n =
   checked_count r what n;
-  let a = Array.make n 0 in
-  for i = 0 to n - 1 do
-    a.(i) <- R.varint r
-  done;
-  a
+  R.varint_array r n
 
 let read_instance r =
   match R.u8 r with
@@ -74,7 +70,7 @@ let read_instance r =
       let n = R.varint r in
       let alpha = read_varint_array r "chain alpha" n in
       let beta = read_varint_array r "chain beta" (max 0 (n - 1)) in
-      match Chain.make ~alpha ~beta with
+      match Chain.of_owned ~alpha ~beta with
       | chain -> Io.Chain_instance chain
       | exception Invalid_argument msg -> reject "bad chain: %s" msg)
   | 2 -> (

@@ -135,7 +135,7 @@ let parse_instance = function
           let beta =
             Array.of_list (as_int_list "beta" (require "beta" fields))
           in
-          match Chain.make ~alpha ~beta with
+          match Chain.of_owned ~alpha ~beta with
           | chain -> Io.Chain_instance chain
           | exception Invalid_argument msg -> reject "bad chain: %s" msg)
       | "tree" -> (
@@ -324,39 +324,77 @@ let parse_frame line =
 
 let canonical_instance = Io.to_string
 
-(* The digest runs once per cacheable request, so it renders the
-   canonical text into a [Bytebuf] with allocation-free decimal writes
-   and hashes the backing store in place — the same bytes
-   [canonical_instance] would build, without materialising the string
-   (the test suite pins the two byte-for-byte). *)
+(* The digest is both the cache key and the ring's routing key
+   (PROTOCOL.md §8), so it must stay the MD5 of [canonical_instance]
+   byte for byte; the test suite pins the two. It runs once per
+   cacheable request, so it renders that text itself, with
+   [Bytebuf.add_decimal], into one buffer and hashes the backing store
+   in place. The buffer is sized from the instance and never grows:
+   [Chain] and [Tree] hold no negative values, so every int fits in the
+   width of the largest plus a separator. One pass for that maximum is
+   cheaper than a width per int, and the bound is exact for
+   uniform-width weights. The type annotation on [max_in] keeps its
+   comparison on ints rather than the polymorphic [compare]. *)
+let max_in (a : int array) init =
+  let m = ref init in
+  for i = 0 to Array.length a - 1 do
+    if a.(i) > !m then m := a.(i)
+  done;
+  !m
+
 let add_ints_line buf a =
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Bytebuf.add_char buf ' ';
-      Bytebuf.add_decimal buf v)
-    a;
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Bytebuf.add_char buf ' ';
+    Bytebuf.add_decimal buf a.(i)
+  done;
   Bytebuf.add_char buf '\n'
 
+let sized_buffer ~ints ~max_value =
+  Bytebuf.create (8 + (ints * (Bytebuf.decimal_length max_value + 1)))
+
 let instance_digest instance =
-  let buf = Bytebuf.create 2048 in
-  (match instance with
-  | Io.Chain_instance c ->
-      Bytebuf.add_string buf "chain\n";
-      add_ints_line buf c.Chain.alpha;
-      add_ints_line buf c.Chain.beta
-  | Io.Tree_instance t ->
-      Bytebuf.add_string buf "tree\n";
-      add_ints_line buf t.Tree.weights;
-      Array.iter
-        (fun (u, v, d) ->
+  let buf =
+    match instance with
+    | Io.Chain_instance c ->
+        let alpha = c.Chain.alpha and beta = c.Chain.beta in
+        let buf =
+          sized_buffer
+            ~ints:(Array.length alpha + Array.length beta)
+            ~max_value:(max_in beta (max_in alpha 0))
+        in
+        Bytebuf.add_string buf "chain\n";
+        add_ints_line buf alpha;
+        add_ints_line buf beta;
+        buf
+    | Io.Tree_instance t ->
+        let weights = t.Tree.weights and edges = t.Tree.edges in
+        let max_value = ref (max_in weights 0) in
+        for i = 0 to Array.length edges - 1 do
+          let u, v, d = edges.(i) in
+          if u > !max_value then max_value := u;
+          if v > !max_value then max_value := v;
+          if d > !max_value then max_value := d
+        done;
+        let buf =
+          sized_buffer
+            ~ints:(Array.length weights + (3 * Array.length edges))
+            ~max_value:!max_value
+        in
+        Bytebuf.add_string buf "tree\n";
+        add_ints_line buf weights;
+        for i = 0 to Array.length edges - 1 do
+          let u, v, d = edges.(i) in
           Bytebuf.add_decimal buf u;
           Bytebuf.add_char buf ' ';
           Bytebuf.add_decimal buf v;
           Bytebuf.add_char buf ' ';
           Bytebuf.add_decimal buf d;
-          Bytebuf.add_char buf '\n')
-        t.Tree.edges);
-  Digest.to_hex (Digest.subbytes (Bytebuf.unsafe_bytes buf) 0 (Bytebuf.length buf))
+          Bytebuf.add_char buf '\n'
+        done;
+        buf
+  in
+  Digest.to_hex
+    (Digest.subbytes (Bytebuf.unsafe_bytes buf) 0 (Bytebuf.length buf))
 
 (* ---------- responses ---------- *)
 

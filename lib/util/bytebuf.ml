@@ -21,14 +21,16 @@ let unsafe_bytes t = t.buf
 let rec grown_capacity cap need =
   if cap >= need then cap else grown_capacity (cap * 2) need
 
-let[@tlp.hot] reserve t extra =
+let grow t need =
+  let buf' = Bytes.create (grown_capacity (max (Bytes.length t.buf) 16) need) in
+  Bytes.blit t.buf 0 buf' 0 t.len;
+  t.buf <- buf'
+
+(* Inlined into every writer here, with growth out of line: the check
+   is all that runs once the buffer has reached its working set. *)
+let[@tlp.hot] [@inline] reserve t extra =
   let need = t.len + extra in
-  let cap = Bytes.length t.buf in
-  if need > cap then begin
-    let buf' = Bytes.create (grown_capacity (max cap 16) need) in
-    Bytes.blit t.buf 0 buf' 0 t.len;
-    t.buf <- buf'
-  end
+  if need > Bytes.length t.buf then grow t need
 
 let[@tlp.hot] add_char t c =
   reserve t 1;
@@ -48,30 +50,66 @@ let[@tlp.hot] add_subbytes t src pos len =
   Bytes.blit src pos t.buf t.len len;
   t.len <- t.len + len
 
-(* Digits are written back-to-front into reserved space, so rendering
-   an int costs zero allocation — the whole point versus
-   [add_string (string_of_int v)] on digest-per-request hot paths.
-   Both loops are module-level recursion over plain ints (same idiom as
-   [add_varint_loop]); [min_int] has no positive negation, so that one
-   value is delegated. *)
-let rec decimal_width v acc = if v < 10 then acc else decimal_width (v / 10) (acc + 1)
+(* Digits are written back-to-front into space reserved once, two at a
+   time from a 00-99 table, so rendering an int costs zero allocation —
+   the whole point versus [add_string (string_of_int v)] on
+   digest-per-request hot paths. The width search multiplies instead
+   of dividing. Both loops are module-level recursion over plain ints
+   (same idiom as [add_varint_loop]); [min_int] has no positive
+   negation, so that one value is delegated. *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      Char.unsafe_chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
 
-let rec write_digits_back buf pos stop n =
-  if pos >= stop then begin
-    Bytes.unsafe_set buf pos (Char.unsafe_chr (48 + (n mod 10)));
-    write_digits_back buf (pos - 1) stop (n / 10)
+(* 10^18 is the largest power of ten below [max_int] (19 digits). *)
+let rec decimal_width v width pow =
+  if v < pow then width
+  else if width = 18 then 19
+  else decimal_width v (width + 1) (pow * 10)
+
+let rec write_digits_back buf last v =
+  if v >= 100 then begin
+    let q = v / 100 in
+    let pair = 2 * (v - (q * 100)) in
+    Bytes.unsafe_set buf last (String.unsafe_get digit_pairs (pair + 1));
+    Bytes.unsafe_set buf (last - 1) (String.unsafe_get digit_pairs pair);
+    write_digits_back buf (last - 2) q
   end
+  else if v >= 10 then begin
+    Bytes.unsafe_set buf last (String.unsafe_get digit_pairs ((2 * v) + 1));
+    Bytes.unsafe_set buf (last - 1) (String.unsafe_get digit_pairs (2 * v))
+  end
+  else Bytes.unsafe_set buf last (Char.unsafe_chr (48 + v))
 
+let[@inline] digits v =
+  if v < 10 then 1 else if v < 100 then 2 else decimal_width v 3 1000
+
+let[@inline] decimal_length v =
+  if v = min_int then 20 else if v < 0 then 1 + digits (-v) else digits v
+
+(* Values in [0, 99] — most weights — skip both digit-count branches,
+   which mispredict on such data: the pair is written whole (the byte
+   past a one-digit value lands in reserved slack beyond [len]) and
+   [(v - 10) asr 8], over [-10, 89], is -1 exactly when [v < 10]. *)
 let[@tlp.hot] add_decimal t v =
-  if v = min_int then add_string t (string_of_int v)
+  if v >= 0 && v < 100 then begin
+    reserve t 2;
+    let width = 2 + ((v - 10) asr 8) in
+    let start = t.len in
+    Bytes.unsafe_set t.buf start
+      (String.unsafe_get digit_pairs ((2 * v) + 2 - width));
+    Bytes.unsafe_set t.buf (start + 1)
+      (String.unsafe_get digit_pairs ((2 * v) + 1));
+    t.len <- start + width
+  end
+  else if v = min_int then add_string t (string_of_int v)
   else begin
-    if v < 0 then add_char t '-';
-    let v = abs v in
-    let digits = decimal_width v 1 in
-    reserve t digits;
-    let stop = t.len in
-    write_digits_back t.buf (stop + digits - 1) stop v;
-    t.len <- stop + digits
+    let width = decimal_length v in
+    reserve t width;
+    let start = t.len in
+    if v < 0 then Bytes.unsafe_set t.buf start '-';
+    write_digits_back t.buf (start + width - 1) (abs v);
+    t.len <- start + width
   end
 
 let[@tlp.hot] add_u32_be t v =
@@ -159,10 +197,33 @@ module Reader = struct
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then acc else varint_loop r acc (shift + 7) (count + 1)
 
-  let[@tlp.hot] varint r =
-    let v = varint_loop r 0 0 1 in
-    if v < 0 then raise Short;
-    v
+  (* Single-byte values (below 0x80) are most of every instance on the
+     wire; [make] guarantees [limit <= Bytes.length src], so the byte
+     under [pos < limit] is read unchecked. Everything else takes the
+     loop, with its truncation, length and sign-bit checks. *)
+  let[@tlp.hot] [@inline] varint r =
+    let pos = r.pos in
+    let b =
+      if pos < r.limit then Char.code (Bytes.unsafe_get r.src pos) else 0x80
+    in
+    if b < 0x80 then begin
+      r.pos <- pos + 1;
+      b
+    end
+    else begin
+      let v = varint_loop r 0 0 1 in
+      if v < 0 then raise Short;
+      v
+    end
 
   let[@tlp.hot] zigzag r = unzigzag (varint r)
+
+  (* Here rather than in the caller's loop so [varint] inlines: one
+     cross-module call per array instead of one per element. *)
+  let varint_array r n =
+    let a = Array.make n 0 in
+    for i = 0 to n - 1 do
+      a.(i) <- varint r
+    done;
+    a
 end

@@ -39,6 +39,10 @@ val add_decimal : t -> int -> unit
 (** Append the decimal rendering of an int — the same bytes as
     [add_string t (string_of_int v)] without allocating the string. *)
 
+val decimal_length : int -> int
+(** [decimal_length v] is the number of bytes {!add_decimal} writes for
+    [v], i.e. [String.length (string_of_int v)]; lets a caller presize. *)
+
 val patch_u32_be : t -> pos:int -> int -> unit
 (** Overwrite 4 already-written bytes — used to back-fill a frame
     length once the payload size is known. *)
@@ -87,4 +91,9 @@ module Reader : sig
       groups, and on overflow into the sign bit. *)
 
   val zigzag : r -> int
+
+  val varint_array : r -> int -> int array
+  (** [varint_array r n] reads [n] {!varint}s into a fresh array.  The
+      caller bounds [n] first: the array is allocated before any
+      element is read. *)
 end

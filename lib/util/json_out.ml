@@ -7,21 +7,28 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* Keys and most string values need no escaping; hand those back
+   as-is instead of copying them through a buffer. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let float_literal f =
   if Float.is_nan f then "null"
@@ -29,39 +36,51 @@ let float_literal f =
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
+(* Rendered into a [Bytebuf] so integers go through its allocation-free
+   [add_decimal] rather than [string_of_int]: every cache miss and
+   session resolve renders a result with thousands of them. List and
+   object children are walked by module-level recursion, as in
+   [Binval.write], instead of one [List.iteri] closure per node. *)
+let add_quoted buf s =
+  Bytebuf.add_char buf '"';
+  Bytebuf.add_string buf (escape s);
+  Bytebuf.add_char buf '"'
+
 let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_literal f)
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+  | Null -> Bytebuf.add_string buf "null"
+  | Bool b -> Bytebuf.add_string buf (if b then "true" else "false")
+  | Int i -> Bytebuf.add_decimal buf i
+  | Float f -> Bytebuf.add_string buf (float_literal f)
+  | String s -> add_quoted buf s
   | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf item)
-        items;
-      Buffer.add_char buf ']'
+      Bytebuf.add_char buf '[';
+      write_items buf items;
+      Bytebuf.add_char buf ']'
   | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          write buf v)
-        fields;
-      Buffer.add_char buf '}'
+      Bytebuf.add_char buf '{';
+      write_fields buf fields;
+      Bytebuf.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | v :: rest ->
+      write buf v;
+      (match rest with [] -> () | _ :: _ -> Bytebuf.add_char buf ',');
+      write_items buf rest
+
+and write_fields buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      add_quoted buf k;
+      Bytebuf.add_char buf ':';
+      write buf v;
+      (match rest with [] -> () | _ :: _ -> Bytebuf.add_char buf ',');
+      write_fields buf rest
 
 let to_string v =
-  let buf = Buffer.create 256 in
+  let buf = Bytebuf.create 256 in
   write buf v;
-  Buffer.contents buf
+  Bytebuf.contents buf
 
 (* A strict parser producing the same [t] the writer consumes.  The
    server's wire protocol (lib/server) parses request frames with it;

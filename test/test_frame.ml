@@ -102,18 +102,42 @@ let test_zigzag_domain_bounds () =
   check_bool "beyond max refused" false (round_trips (zigzag_max + 1));
   check_bool "beyond min refused" false (round_trips (zigzag_min - 1))
 
+(* A non-negative int whose decimal width is uniform over 1..19, so
+   every branch of the digit writer (one digit, one pair, the pair
+   loop) and every width up to [max_int] is drawn equally often; a
+   uniform [int] is almost always 18-19 digits wide. *)
+let any_width_nat =
+  let open QCheck2.Gen in
+  let pow10 w = int_of_string ("1" ^ String.make w '0') in
+  let* width = int_range 1 19 in
+  int_range
+    (if width = 1 then 0 else pow10 (width - 1))
+    (if width = 19 then max_int else pow10 width - 1)
+
+let any_width_int =
+  QCheck2.Gen.(
+    oneof
+      [
+        any_width_nat;
+        map (fun v -> -v) any_width_nat;
+        oneofl [ 0; -1; 9; 10; 99; 100; min_int; max_int; min_int + 1 ];
+      ])
+
 let test_decimal_matches_string_of_int =
   qcheck "add_decimal = string_of_int"
-    QCheck2.Gen.(
-      oneof
-        [
-          int;
-          oneofl [ 0; -1; 9; 10; 99; 100; min_int; max_int; min_int + 1 ];
-        ])
+    QCheck2.Gen.(oneof [ int; any_width_int ])
     (fun v ->
       let buf = Bytebuf.create 4 in
       Bytebuf.add_decimal buf v;
-      Bytebuf.contents buf = string_of_int v)
+      Bytebuf.contents buf = string_of_int v
+      && Bytebuf.decimal_length v = String.length (string_of_int v))
+
+let test_json_int_matches_string_of_int =
+  qcheck "Json_out.to_string (Int i) = string_of_int i" any_width_int
+    (fun v ->
+      Json.to_string (Json.Int v) = string_of_int v
+      && Json.to_string (Json.List [ Json.Int v; Json.Int (-v) ])
+         = Printf.sprintf "[%d,%d]" v (-v))
 
 let test_varint_reader_rejects () =
   let decodes s =
@@ -193,19 +217,40 @@ let test_binval_float_exact () =
 
 (* ---------- digest parity ---------- *)
 
+(* Weights of every decimal width: the digest presizes its buffer from
+   the widest value, so mixed widths are the case that must still fit. *)
+let wide_chain_gen =
+  let open QCheck2.Gen in
+  let weight = map (fun v -> max 1 v) any_width_nat in
+  let* n = int_range 1 12 in
+  let* alpha = array_size (return n) weight in
+  let* beta = array_size (return (n - 1)) weight in
+  return (Chain.make ~alpha ~beta)
+
+let wide_tree_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 10 in
+  let* weights = array_size (return n) any_width_nat in
+  let* deltas = array_size (return (n - 1)) any_width_nat in
+  let* parents_raw = array_size (return (n - 1)) (int_range 0 1000) in
+  let parents = Array.mapi (fun i p -> (p mod (i + 1), deltas.(i))) parents_raw in
+  return (Tlp_graph.Tree.of_parents ~weights ~parents)
+
 (* [Protocol.instance_digest] renders into a Bytebuf and hashes in
    place; it must equal the digest of the canonical string for every
    instance, or cache keys would silently diverge from v1 behavior. *)
 let test_digest_parity_chain =
-  qcheck "instance digest = MD5(canonical text), chains" small_chain_gen
-    (fun (c, _k) ->
+  qcheck "instance digest = MD5(canonical text), chains"
+    QCheck2.Gen.(oneof [ map fst small_chain_gen; wide_chain_gen ])
+    (fun c ->
       let i = Io.Chain_instance c in
       Protocol.instance_digest i
       = Digest.to_hex (Digest.string (Protocol.canonical_instance i)))
 
 let test_digest_parity_tree =
-  qcheck "instance digest = MD5(canonical text), trees" small_tree_gen
-    (fun (t, _k) ->
+  qcheck "instance digest = MD5(canonical text), trees"
+    QCheck2.Gen.(oneof [ map fst small_tree_gen; wide_tree_gen ])
+    (fun t ->
       let i = Io.Tree_instance t in
       Protocol.instance_digest i
       = Digest.to_hex (Digest.string (Protocol.canonical_instance i)))
@@ -410,6 +455,101 @@ let test_request_decoder_truncation () =
     | exception ex ->
         Alcotest.failf "truncation at %d raised %s" l (Printexc.to_string ex)
   done
+
+(* The varint reader takes single bytes below 0x80 on a fast path; the
+   instance arrays are where that path runs, so pin the decoder's
+   errors there. Alpha and beta mix one- and two-byte varints, so a cut
+   lands both between and inside values. *)
+let test_request_decoder_varint_errors () =
+  let chain_frame alpha beta =
+    match
+      Cframe.encode_request ~id:(Json.Int 7) ~meth:"partition"
+        ~params:
+          (partition_params
+             ~instance:
+               (Json.Obj
+                  [
+                    ("kind", Json.String "chain");
+                    ("alpha", ints alpha);
+                    ("beta", ints beta);
+                  ])
+             ~k:5000 ())
+        ()
+    with
+    | Ok s -> String.sub s 4 (String.length s - 4)
+    | Error msg -> Alcotest.failf "fixture frame refused: %s" msg
+  in
+  let decode payload =
+    Sframe.decode_request (Bytes.of_string payload) ~pos:0
+      ~len:(String.length payload)
+  in
+  let expect_error label payload ~message =
+    match decode payload with
+    | Ok _ -> Alcotest.failf "%s: decoded" label
+    | Error (id, e) ->
+        check_bool (label ^ ": id recovered") true (id = Json.Int 7);
+        Alcotest.(check string) (label ^ ": message") message e.Protocol.message
+  in
+  let truncated = "malformed v2 frame: truncated or corrupt" in
+  (* 8 bytes of alpha varints, then 6 of beta, end the payload. *)
+  let payload = chain_frame [ 300; 5; 200; 7; 1000 ] [ 128; 1; 129; 2 ] in
+  check_bool "fixture decodes" true (Result.is_ok (decode payload));
+  let len = String.length payload in
+  let alpha_at = len - 14 and beta_at = len - 6 in
+  (* Keep at least n (resp. n-1) bytes, so the count check passes and
+     the reader itself runs out. *)
+  List.iter
+    (fun keep ->
+      expect_error
+        (Printf.sprintf "cut after %d alpha bytes" keep)
+        (String.sub payload 0 (alpha_at + keep))
+        ~message:truncated)
+    [ 5; 6; 7 ];
+  List.iter
+    (fun keep ->
+      expect_error
+        (Printf.sprintf "cut after %d beta bytes" keep)
+        (String.sub payload 0 (beta_at + keep))
+        ~message:truncated)
+    [ 4; 5 ];
+  (* An 11-group varint in place of alpha.(0) (300, two bytes). *)
+  let splice at ~drop bytes =
+    String.sub payload 0 at ^ bytes ^ String.sub payload (at + drop) (len - at - drop)
+  in
+  expect_error "overlong varint"
+    (splice alpha_at ~drop:2 ("\x84" ^ String.make 9 '\x80' ^ "\x00"))
+    ~message:truncated;
+  (* A zero written non-minimally in place of alpha.(1) (5, one byte):
+     same positivity error as the v1 line carrying a literal 0. *)
+  let v1_message =
+    match
+      Protocol.parse_frame
+        (Json.to_string
+           (Json.Obj
+              [
+                ("id", Json.Int 7);
+                ("method", Json.String "partition");
+                ( "params",
+                  partition_params
+                    ~instance:
+                      (Json.Obj
+                         [
+                           ("kind", Json.String "chain");
+                           ("alpha", ints [ 300; 0; 200; 7; 1000 ]);
+                           ("beta", ints [ 128; 1; 129; 2 ]);
+                         ])
+                    ~k:5000 () );
+              ]))
+    with
+    | Error (_, e) -> e.Protocol.message
+    | Ok _ -> Alcotest.fail "v1 accepted a zero vertex weight"
+  in
+  Alcotest.(check string)
+    "v1 message" "bad chain: Chain.make: vertex weights must be positive"
+    v1_message;
+  expect_error "non-minimal zero"
+    (splice (alpha_at + 2) ~drop:1 "\x80\x00")
+    ~message:v1_message
 
 let test_request_decoder_corruption =
   qcheck ~count:500 "corrupted request frames never raise"
@@ -678,6 +818,7 @@ let suite =
     test_zigzag_round_trip;
     Alcotest.test_case "zigzag domain bounds" `Quick test_zigzag_domain_bounds;
     test_decimal_matches_string_of_int;
+    test_json_int_matches_string_of_int;
     Alcotest.test_case "varint reader rejects" `Quick test_varint_reader_rejects;
     test_binval_round_trip;
     Alcotest.test_case "binval float exactness" `Quick test_binval_float_exact;
@@ -693,6 +834,8 @@ let suite =
       test_ok_frames_differential;
     Alcotest.test_case "request decoder truncation" `Quick
       test_request_decoder_truncation;
+    Alcotest.test_case "request decoder varint errors" `Quick
+      test_request_decoder_varint_errors;
     test_request_decoder_corruption;
     Alcotest.test_case "response decoder truncation" `Quick
       test_response_decoder_truncation;

@@ -6,6 +6,7 @@
 
 open Helpers
 module Json = Tlp_util.Json_out
+module Bytebuf = Tlp_util.Bytebuf
 module Chain = Tlp_graph.Chain
 module Io = Tlp_graph.Instance_io
 module Ksweep = Tlp_engine.Ksweep
@@ -122,6 +123,55 @@ let test_cache_hit_alloc_budget () =
   check_bool
     (Printf.sprintf "%.1f words/hit within budget" per_hit)
     true (per_hit <= 8.0)
+
+(* [Bytebuf.add_decimal] is [@tlp.hot]: once the buffer has room, no
+   int but [min_int] allocates, whatever its width or sign.  The only
+   words counted are the boxed float of the [Gc.minor_words] read. *)
+let test_add_decimal_alloc_free () =
+  let values =
+    [| 0; 7; 42; 99; 100; 12_345; -1; -987_654_321; max_int; min_int + 1 |]
+  in
+  let buf = Bytebuf.create 256 in
+  let render () =
+    Bytebuf.clear buf;
+    for i = 0 to Array.length values - 1 do
+      Bytebuf.add_decimal buf values.(i)
+    done
+  in
+  render ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do render () done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "%.0f words over 100000 ints" words)
+    true (words <= 4.0)
+
+(* [Protocol.instance_digest] on an n=64 chain (the small-hits request
+   size) allocates its render buffer, sized to the canonical text, plus
+   a constant: the buffer record, the MD5 and its hex string.  The
+   constant must not grow with the digit count of the weights. *)
+let test_instance_digest_alloc_budget () =
+  List.iter
+    (fun width ->
+      let base = int_of_string ("1" ^ String.make (width - 1) '0') in
+      let weights n = Array.init n (fun i -> base + (i mod 9)) in
+      let instance =
+        Io.Chain_instance (Chain.make ~alpha:(weights 64) ~beta:(weights 63))
+      in
+      let text_words =
+        float_of_int (String.length (Protocol.canonical_instance instance) / 8)
+      in
+      ignore (Protocol.instance_digest instance);
+      let iters = 1_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to iters do ignore (Protocol.instance_digest instance) done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+      check_bool
+        (Printf.sprintf "width %d: %.1f words/digest for %.0f words of text"
+           width per_call text_words)
+        true
+        (per_call -. text_words <= 24.0))
+    [ 1; 2; 3; 6; 9; 12; 15 ]
 
 (* ---------- admission queue ---------- *)
 
@@ -1010,4 +1060,8 @@ let suite =
       test_loopback_slow_ring;
     Alcotest.test_case "loopback: drained port refuses" `Quick
       test_shutdown_refuses_new_connections;
+    Alcotest.test_case "add_decimal allocation-free" `Quick
+      test_add_decimal_alloc_free;
+    Alcotest.test_case "instance digest allocation budget" `Quick
+      test_instance_digest_alloc_budget;
   ]
