@@ -16,9 +16,11 @@
      v1 JSON lines against v2 binary frames on the same cache-hot
      request — the v2 framing's reason to exist;
    - [drift]: the streaming-session resolve (PROTOCOL.md section 9)
-     under weight drift — p50 of the incremental repair against the
-     from-scratch rescan on the same delta stream, answers asserted
-     identical.  Incremental must win; CI checks the written ratio.
+     under weight drift, on a spiky and a figure-2 chain — p50 of the
+     Auto plan against a forced rescan and against a from-scratch
+     solve on the same delta stream, answers asserted identical.  Auto
+     must beat from-scratch on both shapes; CI checks the written
+     figures.
 
    The server runs in-process on an ephemeral port; clients are
    sys-threads doing blocking socket I/O, which is exactly what an
@@ -308,79 +310,99 @@ let run ~max_jobs () =
     (sleep_overrun.State.max_ns /. 1e6);
   (* --- drift: incremental session resolve vs from-scratch --- *)
   (* The streaming-session hot path (PROTOCOL.md section 9), measured
-     in process on the shape incremental repair is built for: a long
-     chain whose periodic heavy spikes keep the prime count small
-     relative to n, so the per-K repair ((window + primes) x log n)
-     beats the O(n) rescan.  Two replicas of one drifting instance
-     receive identical delta batches; one resolves under the production
-     [Auto] plan (which must pick the incremental path every round),
-     the other under [Force_full] (what a session-less server would do
-     from scratch).  Answers are asserted identical each round. *)
+     in process on the two session shapes perfbench's drift_rounds
+     serves.  Three replicas of one drifting instance receive identical
+     delta batches: one resolves under the production [Auto] plan, one
+     under [Force_full], and one is materialized and solved by
+     [Bandwidth_hitting.solve], which is what a session-less server
+     would do.  Answers are asserted identical each round.  On the
+     spiky shape (a heavy vertex every 100, so few primes) Auto must
+     repair every round; on the figure-2 shape (uniform weights, primes
+     on most vertices) both plans pay the same group stream and DP, so
+     the repair wins there too. *)
   let module Incremental = Tlp_core.Incremental in
+  let module BH = Tlp_core.Bandwidth_hitting in
   let drift_n = 50_000 in
-  let drift_alpha =
-    Array.init drift_n (fun i -> if i mod 100 = 0 then 5_000 else 1)
-  in
-  let drift_beta = Array.make (drift_n - 1) 1 in
-  let drift_chain = Chain.make ~alpha:drift_alpha ~beta:drift_beta in
-  let drift_k = 20_000 in
-  let inc_state = Incremental.create drift_chain in
-  let full_state = Incremental.create drift_chain in
-  (* Warm the per-K workspace so round timings measure repair against
-     an established state, not the first discovery pass. *)
-  (match Incremental.resolve inc_state ~k:drift_k with
-  | Ok _ -> ()
-  | Error _ -> failwith "drift scenario: warmup resolve infeasible");
-  let drift_rng = Rng.create 5 in
   let drift_rounds = 30 in
-  let inc_times = Array.make drift_rounds 0.0 in
-  let full_times = Array.make drift_rounds 0.0 in
-  let inc_mode_hits = ref 0 in
-  for round = 0 to drift_rounds - 1 do
-    let deltas = ref [] in
-    for _ = 1 to 3 do
-      let i = 1 + Rng.int drift_rng (drift_n - 1) in
-      deltas := Incremental.Vertex (i, 1) :: !deltas
-    done;
-    let deltas = !deltas in
-    (match
-       (Incremental.apply inc_state deltas, Incremental.apply full_state deltas)
-     with
-    | Ok (), Ok () -> ()
-    | _ -> failwith "drift scenario: delta batch rejected");
-    let inc_result, inc_s =
-      wall (fun () -> Incremental.resolve inc_state ~k:drift_k)
-    in
-    let full_result, full_s =
-      wall (fun () ->
-          Incremental.resolve ~plan:Incremental.Force_full full_state
-            ~k:drift_k)
-    in
-    inc_times.(round) <- inc_s;
-    full_times.(round) <- full_s;
-    match (inc_result, full_result) with
-    | Ok (inc_sol, mode), Ok (full_sol, _) ->
-        if mode = Incremental.Incremental then incr inc_mode_hits;
-        assert (
-          inc_sol.Tlp_core.Bandwidth_hitting.cut
-          = full_sol.Tlp_core.Bandwidth_hitting.cut
-          && inc_sol.Tlp_core.Bandwidth_hitting.weight
-             = full_sol.Tlp_core.Bandwidth_hitting.weight)
-    | _ -> failwith "drift scenario: resolve infeasible"
-  done;
-  assert (!inc_mode_hits = drift_rounds);
   let p50 times =
     let sorted = Array.copy times in
     Array.sort Stdlib.compare sorted;
     sorted.(Array.length sorted / 2)
   in
-  let inc_p50 = p50 inc_times and full_p50 = p50 full_times in
+  let drift_shape ~name chain ~k =
+    let auto_state = Incremental.create chain in
+    let full_state = Incremental.create chain in
+    let workspace = BH.Workspace.create drift_n in
+    (* Warm the per-K state so round timings measure repair against
+       an established state, not the first discovery pass. *)
+    (match Incremental.resolve ~workspace auto_state ~k with
+    | Ok _ -> ()
+    | Error _ -> failwith ("drift " ^ name ^ ": warmup resolve infeasible"));
+    let rng = Rng.create 5 in
+    let auto_times = Array.make drift_rounds 0.0 in
+    let full_times = Array.make drift_rounds 0.0 in
+    let scratch_times = Array.make drift_rounds 0.0 in
+    let incremental_rounds = ref 0 in
+    for round = 0 to drift_rounds - 1 do
+      let deltas =
+        List.init 3 (fun _ ->
+            Incremental.Vertex (1 + Rng.int rng (drift_n - 1), 1))
+      in
+      (match
+         ( Incremental.apply auto_state deltas,
+           Incremental.apply full_state deltas )
+       with
+      | Ok (), Ok () -> ()
+      | _ -> failwith ("drift " ^ name ^ ": delta batch rejected"));
+      let auto_result, auto_s =
+        wall (fun () -> Incremental.resolve ~workspace auto_state ~k)
+      in
+      let full_result, full_s =
+        wall (fun () ->
+            Incremental.resolve ~plan:Incremental.Force_full ~workspace
+              full_state ~k)
+      in
+      let scratch_result, scratch_s =
+        wall (fun () ->
+            BH.solve ~workspace (Incremental.chain full_state) ~k)
+      in
+      auto_times.(round) <- auto_s;
+      full_times.(round) <- full_s;
+      scratch_times.(round) <- scratch_s;
+      match (auto_result, full_result, scratch_result) with
+      | Ok (auto_sol, mode), Ok (full_sol, _), Ok scratch_sol ->
+          if mode = Incremental.Incremental then incr incremental_rounds;
+          assert (auto_sol = scratch_sol && full_sol = scratch_sol)
+      | _ -> failwith ("drift " ^ name ^ ": resolve infeasible")
+    done;
+    let auto_p50 = p50 auto_times and full_p50 = p50 full_times in
+    let scratch_p50 = p50 scratch_times in
+    assert (auto_p50 < scratch_p50);
+    Printf.printf
+      "  drift %s n=%d k=%d rounds=%d: resolve p50 auto %.3fms (%d \
+       incremental), force-full %.3fms, from-scratch %.3fms\n"
+      name drift_n k drift_rounds (auto_p50 *. 1e3) !incremental_rounds
+      (full_p50 *. 1e3) (scratch_p50 *. 1e3);
+    (auto_p50, full_p50, scratch_p50, !incremental_rounds)
+  in
+  let spiky_k = 20_000 and figure2_k = 300 in
+  let spiky_chain =
+    Chain.make
+      ~alpha:(Array.init drift_n (fun i -> if i mod 100 = 0 then 5_000 else 1))
+      ~beta:(Array.make (drift_n - 1) 1)
+  in
+  let figure2_chain =
+    Chain_gen.figure2 (Rng.create 7) ~n:drift_n ~max_weight:20
+  in
+  let ((inc_p50, full_p50, _, inc_mode_hits) as spiky) =
+    drift_shape ~name:"spiky" spiky_chain ~k:spiky_k
+  in
+  let figure2 = drift_shape ~name:"figure2" figure2_chain ~k:figure2_k in
+  let shapes =
+    [ ("spiky", spiky_k, spiky); ("figure2", figure2_k, figure2) ]
+  in
+  assert (inc_mode_hits = drift_rounds);
   assert (inc_p50 < full_p50);
-  Printf.printf
-    "  drift n=%d rounds=%d: resolve p50 incremental %.3fms, from-scratch \
-     %.3fms (%.1fx)\n"
-    drift_n drift_rounds (inc_p50 *. 1e3) (full_p50 *. 1e3)
-    (full_p50 /. inc_p50);
   let doc =
     Json_out.Obj
       [
@@ -427,12 +449,29 @@ let run ~max_jobs () =
           Json_out.Obj
             [
               ("n", Json_out.Int drift_n);
-              ("k", Json_out.Int drift_k);
+              ("k", Json_out.Int spiky_k);
               ("rounds", Json_out.Int drift_rounds);
               ("incremental_p50_ms", Json_out.Float (inc_p50 *. 1e3));
               ("from_scratch_p50_ms", Json_out.Float (full_p50 *. 1e3));
               ("speedup", Json_out.Float (full_p50 /. inc_p50));
-              ("incremental_rounds", Json_out.Int !inc_mode_hits);
+              ("incremental_rounds", Json_out.Int inc_mode_hits);
+              ( "shapes",
+                Json_out.List
+                  (List.map
+                     (fun (name, k, (auto_p50, full_p50, scratch_p50, hits)) ->
+                       Json_out.Obj
+                         [
+                           ("shape", Json_out.String name);
+                           ("n", Json_out.Int drift_n);
+                           ("k", Json_out.Int k);
+                           ("auto_p50_ms", Json_out.Float (auto_p50 *. 1e3));
+                           ( "force_full_p50_ms",
+                             Json_out.Float (full_p50 *. 1e3) );
+                           ( "from_scratch_p50_ms",
+                             Json_out.Float (scratch_p50 *. 1e3) );
+                           ("incremental_rounds", Json_out.Int hits);
+                         ])
+                     shapes) );
             ] );
         ( "deadline",
           Json_out.Obj

@@ -182,7 +182,6 @@ let dp ?(metrics = Metrics.null) ?(search = Binary) ws ~p ~each_group =
       let lo = ref lo0 and hi_s = ref hi0 in
       while !lo < !hi_s do
         incr search_steps;
-        Metrics.bump metrics "hitting_search_steps";
         let mid = (!lo + !hi_s) / 2 in
         if row_w.(mid) >= w_g then hi_s := mid else lo := mid + 1
       done;
@@ -196,7 +195,6 @@ let dp ?(metrics = Metrics.null) ?(search = Binary) ws ~p ~each_group =
       close_primes_below c;
       let w_g = beta_g + (if c = 0 then 0 else cost.(c - 1)) in
       let prev_g = c - 1 in
-      Metrics.bump metrics "hitting_groups";
       (* Find the first live row with w >= w_g; all rows from there
          to the bottom are superseded by w_g. *)
       let s =
@@ -210,7 +208,6 @@ let dp ?(metrics = Metrics.null) ?(search = Binary) ws ~p ~each_group =
             if !bottom < !top then !top
             else begin
               incr search_steps;
-              Metrics.bump metrics "hitting_search_steps";
               if row_w.(!bottom) < w_g then !bottom + 1
               else begin
                 (* hi_known: smallest index verified to satisfy
@@ -221,7 +218,6 @@ let dp ?(metrics = Metrics.null) ?(search = Binary) ws ~p ~each_group =
                 let stop = ref false in
                 while (not !stop) && !probe >= !top do
                   incr search_steps;
-                  Metrics.bump metrics "hitting_search_steps";
                   if row_w.(!probe) >= w_g then begin
                     hi_known := !probe;
                     step := !step * 2;
@@ -263,6 +259,12 @@ let dp ?(metrics = Metrics.null) ?(search = Binary) ws ~p ~each_group =
     in
     each_group process_group;
     close_primes_below p;
+    (* The counters are added once per solve, not bumped per group or
+       step: a bump on an [Active] sink is a string hash.  Zero totals
+       stay absent from the sink, as they were when nothing bumped. *)
+    if !n_groups > 0 then Metrics.add metrics "hitting_groups" !n_groups;
+    if !search_steps > 0 then
+      Metrics.add metrics "hitting_search_steps" !search_steps;
     (* Recover the optimal cut by following the per-prime choice
        links back from the last prime.  Representative edges strictly
        decrease along the chain, so consing yields the cut already

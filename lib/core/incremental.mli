@@ -5,10 +5,12 @@
     the index structures that make point updates cheap: a Fenwick tree
     over the vertex weights (prefix sums and lower bounds), a max
     segment tree (first vertex exceeding a bound, for O(log n)
-    feasibility checks), and a leftmost-min segment tree over the edge
-    weights (group representatives).  Per bound K it caches the prime
-    subpaths discovered at that K and repairs them under updates instead
-    of rediscovering them from scratch.
+    feasibility checks), and a min segment tree over the edge weights
+    (group representatives: short ranges are scanned off its leaves,
+    long ones queried bottom-up, so streaming the groups is linear and
+    allocation-free).  Per bound K it caches the prime subpaths
+    discovered at that K and repairs them under updates instead of
+    rediscovering them from scratch.
 
     {b Repair.} An update at vertex [v] can only change the prime
     candidate of starts [l] with [weight(l..v-1) <= k] — a sum that
@@ -22,12 +24,14 @@
     runs, which is what makes incremental and from-scratch answers
     byte-identical (property-tested over random delta streams).
 
-    {b Fallback.} When the estimated repair cost
-    ((window span + prime count) x log n) reaches the O(n) rescan cost,
-    or the update log wrapped past a state's position, [resolve] takes
-    the full-rescan path instead; the returned {!mode} reports which
-    plan ran.  Values are not thread-safe; callers serialize access
-    (the session store holds one lock per session). *)
+    {b Fallback.} Both plans stream the same groups through the same
+    DP, so [Auto] prices only the prime rebuild: when the repair's work
+    (window span x log n, plus its merge pass over the p kept primes)
+    reaches the O(n) rescan, or the update log wrapped past a state's
+    position, [resolve] takes the full-rescan path instead; the
+    returned {!mode} reports which plan ran.  Values are not
+    thread-safe; callers serialize access (the session store holds one
+    lock per session). *)
 
 type t
 
@@ -76,6 +80,23 @@ val resolve :
     [k], exactly as [Infeasible.check_chain] would.  The solution is
     byte-identical to [Bandwidth_hitting.solve] on the materialized
     chain (same cut, weight, and stats), whichever {!mode} ran. *)
+
+module Min_tree : sig
+  (** The edge-weight index behind group representatives, exposed for
+      its differential test. *)
+
+  type t
+
+  val scan_max : int
+  (** Ranges of at most this many edges are scanned directly. *)
+
+  val create : int array -> t
+  val set : t -> int -> int -> unit
+
+  val leftmost_min : t -> int -> int -> int
+  (** [leftmost_min t l r] is the smallest index of a minimum weight in
+      the half-open range [\[l, r)], [l < r]; it does not allocate. *)
+end
 
 val prime_ranges :
   ?plan:plan -> t -> k:int -> ((int * int) array, Infeasible.t) result
