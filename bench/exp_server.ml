@@ -213,15 +213,21 @@ let run ~max_jobs () =
   let flen = Bytes.length fbytes - 4 in
   let alloc_rng = Rng.create 3 in
   let alloc_metrics = Tlp_util.Metrics.create () in
+  (* The server's path: key and lookup as on the connection thread, the
+     handler only on a miss. *)
   let handle request =
-    match
-      Handler.handle ~state:alloc_state
-        ~queue_depth:(fun () -> 0)
-        ~cluster:(Handler.solo_cluster_doc ~host:"127.0.0.1" ~port:0)
-        ~debug:false ~rng:alloc_rng ~metrics:alloc_metrics request
-    with
-    | Ok payload -> payload
-    | Error _ -> failwith "alloc scenario: request rejected"
+    let key = Handler.cache_key request in
+    match Option.bind key (Handler.lookup alloc_state) with
+    | Some entry -> Handler.Rendered entry
+    | None -> (
+        match
+          Handler.handle ~state:alloc_state
+            ~queue_depth:(fun () -> 0)
+            ~cluster:(Handler.solo_cluster_doc ~host:"127.0.0.1" ~port:0)
+            ~debug:false ~rng:alloc_rng ~metrics:alloc_metrics ~key request
+        with
+        | Ok payload -> payload
+        | Error _ -> failwith "alloc scenario: request rejected")
   in
   let serve_v1 () =
     match Protocol.parse_frame alloc_line with

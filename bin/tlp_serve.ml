@@ -57,7 +57,7 @@ let serve_cmd =
     Arg.(
       value & opt int Server.default_config.Server.jobs
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker threads and solver domains.")
+          ~doc:"Worker domains that pop the admission queue and solve.")
   in
   let queue =
     Arg.(

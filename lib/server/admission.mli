@@ -1,9 +1,9 @@
 (** Bounded earliest-deadline-first admission queue: the server's
     backpressure and scheduling point.
 
-    Connection threads [try_push] parsed requests with their absolute
-    deadline and priority class; worker threads [pop] the most urgent
-    admitted request — earliest deadline first within a class, FIFO
+    Connection threads [try_push] parsed requests (cache misses and
+    uncacheable solver work) with their absolute deadline and priority
+    class; worker domains [pop] the most urgent admitted request — earliest deadline first within a class, FIFO
     among equal deadlines, and deadline-free requests (encoded as
     deadline [+inf]) after all deadlined ones in admission order.
 

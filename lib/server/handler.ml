@@ -265,9 +265,9 @@ let verify_result ~rounds ~seed =
 type payload = Rendered of Cache.entry | Doc of Json.t
 
 (* The cache key's solver-identity field, a function of instance shape
-   and requested objective — shared by [partition] and [resolve] so a
-   session result and a one-shot result of the same instance never
-   collide under different solvers. *)
+   and requested objective — shared, through [partition_key], by
+   [partition] and [resolve] so a session result and a one-shot result
+   of the same instance never collide under different solvers. *)
 let algorithm_field ~chain (algorithm : Protocol.partition_algorithm) =
   match algorithm with
   | Protocol.Bandwidth -> if chain then "hitting" else "star_knapsack"
@@ -275,27 +275,74 @@ let algorithm_field ~chain (algorithm : Protocol.partition_algorithm) =
   | Protocol.Procmin -> if chain then "tree_pipeline" else "alg22"
   | Protocol.Pipeline -> "tree_pipeline"
 
+let partition_key ~digest ~chain ~k algorithm =
+  {
+    Cache.digest;
+    k = string_of_int k;
+    objective = Protocol.partition_algorithm_string algorithm;
+    algorithm = algorithm_field ~chain algorithm;
+  }
+
+(* The cache key of a one-shot cacheable request — the one place that
+   shapes [partition] and [sweep] keys.  The server computes it on the
+   connection thread, looks it up there, and hands a miss's key to
+   [handle] with the job, so the digest is taken once per request. *)
+let cache_key ?scratch (request : Protocol.request) =
+  match request with
+  | Protocol.Partition { instance; k; algorithm } ->
+      Some
+        (partition_key ~digest:(Protocol.instance_digest ?scratch instance) ~k
+           ~chain:
+             (match instance with
+             | Io.Chain_instance _ -> true
+             | Io.Tree_instance _ -> false)
+           algorithm)
+  | Protocol.Sweep { chain; ks; algorithm } ->
+      Some
+        {
+          Cache.digest =
+            Protocol.instance_digest ?scratch (Io.Chain_instance chain);
+          k =
+            String.concat ","
+              (List.map string_of_int (List.sort_uniq compare ks));
+          objective = "bandwidth";
+          algorithm =
+            (match algorithm with
+            | Ksweep.Deque -> "sweep:deque"
+            | Ksweep.Hitting -> "sweep:hitting");
+        }
+  | Protocol.Verify _ | Protocol.Stats | Protocol.Health | Protocol.Cluster
+  | Protocol.Sleep _ | Protocol.Open _ | Protocol.Update _
+  | Protocol.Resolve _ ->
+      None
+
+let lookup state key =
+  State.with_lock state (fun () ->
+      Cache.find ~metrics:(State.metrics state) (State.cache state) key)
+
 (* A miss renders the result for *both* protocols once — the JSON text
    spliced into v1 envelopes and the Binval bytes spliced into v2
    frames — so a hit replays either without re-serialization, and an
    entry filled over one protocol serves the other. *)
+let fill state key compute =
+  Result.map
+    (fun doc ->
+      let entry =
+        { Cache.v1 = Json.to_string doc; v2 = Tlp_util.Binval.to_string doc }
+      in
+      Option.iter
+        (fun key ->
+          State.with_lock state (fun () ->
+              Cache.add ~metrics:(State.metrics state) (State.cache state) key
+                entry))
+        key;
+      Rendered entry)
+    (compute ())
+
 let cached state key compute =
-  let cache = State.cache state in
-  let metrics = State.metrics state in
-  match State.with_lock state (fun () -> Cache.find ~metrics cache key) with
+  match lookup state key with
   | Some entry -> Ok (Rendered entry)
-  | None -> (
-      match compute () with
-      | Error _ as e -> e
-      | Ok doc ->
-          let entry =
-            {
-              Cache.v1 = Json.to_string doc;
-              v2 = Tlp_util.Binval.to_string doc;
-            }
-          in
-          State.with_lock state (fun () -> Cache.add ~metrics cache key entry);
-          Ok (Rendered entry))
+  | None -> fill state (Some key) compute
 
 (* The degenerate ring a lone shard reports from [cluster]: epoch 0,
    one member, no virtual nodes — enough for a cluster-aware client to
@@ -320,27 +367,13 @@ let solo_cluster_doc ~host ~port () =
           ] );
     ]
 
-let handle ~state ~queue_depth ~cluster ~debug ~rng ~metrics request =
+let handle ~state ~queue_depth ~cluster ~debug ~rng ~metrics ~key request =
   ignore (rng : Rng.t);
   (* The split stream is reserved for randomized algorithms; every
      built-in method is deterministic (see .mli). *)
   match (request : Protocol.request) with
   | Protocol.Partition { instance; k; algorithm } ->
-      let key =
-        {
-          Cache.digest = Protocol.instance_digest instance;
-          k = string_of_int k;
-          objective = Protocol.partition_algorithm_string algorithm;
-          algorithm =
-            algorithm_field
-              ~chain:
-                (match instance with
-                | Io.Chain_instance _ -> true
-                | Io.Tree_instance _ -> false)
-              algorithm;
-        }
-      in
-      cached state key (fun () ->
+      fill state key (fun () ->
           match instance with
           | Io.Chain_instance chain when algorithm = Protocol.Bandwidth ->
               (* The only solver with a reusable workspace today; check
@@ -351,22 +384,7 @@ let handle ~state ~queue_depth ~cluster ~debug ~rng ~metrics request =
                   partition_result ~metrics ~workspace instance ~k ~algorithm)
           | _ -> partition_result ~metrics instance ~k ~algorithm)
   | Protocol.Sweep { chain; ks; algorithm } ->
-      let key =
-        {
-          Cache.digest =
-            Protocol.instance_digest (Io.Chain_instance chain);
-          k =
-            String.concat ","
-              (List.map string_of_int (List.sort_uniq compare ks));
-          objective = "bandwidth";
-          algorithm =
-            (match algorithm with
-            | Ksweep.Deque -> "sweep:deque"
-            | Ksweep.Hitting -> "sweep:hitting");
-        }
-      in
-      cached state key (fun () ->
-          Ok (sweep_result ~metrics chain ~ks ~algorithm))
+      fill state key (fun () -> Ok (sweep_result ~metrics chain ~ks ~algorithm))
   | Protocol.Verify { rounds; seed } -> Ok (Doc (verify_result ~rounds ~seed))
   | Protocol.Stats ->
       (* The sessions section is rendered first, outside the state lock:
@@ -457,12 +475,8 @@ let handle ~state ~queue_depth ~cluster ~debug ~rng ~metrics request =
                 | Tlp_session.Session.Tree_view _ -> false
               in
               let key =
-                {
-                  Cache.digest = Tlp_session.Session.digest s;
-                  k = string_of_int k;
-                  objective = Protocol.partition_algorithm_string algorithm;
-                  algorithm = algorithm_field ~chain algorithm;
-                }
+                partition_key ~digest:(Tlp_session.Session.digest s) ~chain
+                  ~k algorithm
               in
               (* [mode] survives the [cached] call: still [None] on a
                  cache hit, so the per-session tallies distinguish

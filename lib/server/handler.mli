@@ -56,6 +56,17 @@ val solo_cluster_doc :
     one shard named ["self"] at [host:port].  The server passes this as
     {!handle}'s [cluster] thunk; a router substitutes its real ring. *)
 
+val cache_key :
+  ?scratch:Tlp_util.Bytebuf.t -> Protocol.request -> Cache.key option
+(** The result-cache key of a [partition] or [sweep] request (canonical
+    instance digest, K, objective, solver); [None] for other methods.
+    The server builds it once per request, on the connection thread,
+    with that connection's [scratch] for {!Protocol.instance_digest}. *)
+
+val lookup : State.t -> Cache.key -> Cache.entry option
+(** Probe the result cache under the {!State} lock, counting one hit or
+    one miss. *)
+
 val handle :
   state:State.t ->
   queue_depth:(unit -> int) ->
@@ -63,19 +74,17 @@ val handle :
   debug:bool ->
   rng:Tlp_util.Rng.t ->
   metrics:Tlp_util.Metrics.t ->
+  key:Cache.key option ->
   Protocol.request ->
   (payload, Protocol.error) result
-(** Dispatch one request, returning the result {!payload}.  [cluster]
-    supplies the [cluster] method's ring document (see
-    {!solo_cluster_doc}); it is a thunk so the serving tier can report
-    a live epoch without the handler holding routing state.  [partition]
-    and [sweep] go through the {!Cache} under the {!State} lock —
-    lookup before solving, insert after — while the solve itself runs
-    unlocked, so two concurrent identical requests may both compute
-    (and store identical bytes) but never block each other; the
-    chain-bandwidth solver runs on a workspace checked out of the
-    {!State}'s {!Workspaces} pool.  [metrics] is the request's private
-    sink.  [rng] is the request's split stream, reserved for future
-    randomized algorithms (the built-in solvers are deterministic;
-    [verify] seeds from its own parameter — see {!verify_result}).
-    [debug] gates the [sleep] test method. *)
+(** Execute one request, returning the result {!payload}.  [cluster]
+    is the [cluster] method's ring document, a thunk (see
+    {!solo_cluster_doc}).  [partition] and [sweep] do no lookup: [key]
+    is the {!cache_key} whose {!lookup} missed, and the result is
+    stored under it ([None] stores nothing).  Solves run unlocked — two
+    concurrent misses on one key may both compute, never block each
+    other — the chain-bandwidth ones on a workspace from the {!State}'s
+    {!Workspaces} pool.  [metrics] is the request's private sink; [rng]
+    its split stream, reserved for randomized algorithms (every
+    built-in solver is deterministic; [verify] seeds from its own
+    parameter).  [debug] gates the [sleep] test method. *)

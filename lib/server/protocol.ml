@@ -327,14 +327,17 @@ let canonical_instance = Io.to_string
 (* The digest is both the cache key and the ring's routing key
    (PROTOCOL.md §8), so it must stay the MD5 of [canonical_instance]
    byte for byte; the test suite pins the two. It runs once per
-   cacheable request, so it renders that text itself, with
-   [Bytebuf.add_decimal], into one buffer and hashes the backing store
-   in place. The buffer is sized from the instance and never grows:
-   [Chain] and [Tree] hold no negative values, so every int fits in the
-   width of the largest plus a separator. One pass for that maximum is
-   cheaper than a width per int, and the bound is exact for
-   uniform-width weights. The type annotation on [max_in] keeps its
-   comparison on ints rather than the polymorphic [compare]. *)
+   cacheable request, on the connection thread, so it renders that
+   text itself, a row at a time with [Bytebuf.add_decimal_line], into
+   one buffer and hashes the backing store in place: the caller's
+   [scratch] if given (the server reuses one per connection rather
+   than put a large text on the major heap per request), sized from
+   the instance and never growing while rendering: [Chain] and [Tree] hold no
+   negative values, so every int fits in the width of the largest plus
+   a separator. One pass for that maximum is cheaper than a width per
+   int, and the bound is exact for uniform-width weights. The type
+   annotation on [max_in] keeps its comparison on ints rather than the
+   polymorphic [compare]. *)
 let max_in (a : int array) init =
   let m = ref init in
   for i = 0 to Array.length a - 1 do
@@ -342,29 +345,28 @@ let max_in (a : int array) init =
   done;
   !m
 
-let add_ints_line buf a =
-  for i = 0 to Array.length a - 1 do
-    if i > 0 then Bytebuf.add_char buf ' ';
-    Bytebuf.add_decimal buf a.(i)
-  done;
-  Bytebuf.add_char buf '\n'
+let sized_buffer scratch ~ints ~max_value =
+  let size = 8 + (ints * (Bytebuf.decimal_length max_value + 1)) in
+  match scratch with
+  | None -> Bytebuf.create size
+  | Some buf ->
+      Bytebuf.clear buf;
+      Bytebuf.reserve buf size;
+      buf
 
-let sized_buffer ~ints ~max_value =
-  Bytebuf.create (8 + (ints * (Bytebuf.decimal_length max_value + 1)))
-
-let instance_digest instance =
+let instance_digest ?scratch instance =
   let buf =
     match instance with
     | Io.Chain_instance c ->
         let alpha = c.Chain.alpha and beta = c.Chain.beta in
         let buf =
-          sized_buffer
+          sized_buffer scratch
             ~ints:(Array.length alpha + Array.length beta)
             ~max_value:(max_in beta (max_in alpha 0))
         in
         Bytebuf.add_string buf "chain\n";
-        add_ints_line buf alpha;
-        add_ints_line buf beta;
+        Bytebuf.add_decimal_line buf alpha;
+        Bytebuf.add_decimal_line buf beta;
         buf
     | Io.Tree_instance t ->
         let weights = t.Tree.weights and edges = t.Tree.edges in
@@ -376,12 +378,12 @@ let instance_digest instance =
           if d > !max_value then max_value := d
         done;
         let buf =
-          sized_buffer
+          sized_buffer scratch
             ~ints:(Array.length weights + (3 * Array.length edges))
             ~max_value:!max_value
         in
         Bytebuf.add_string buf "tree\n";
-        add_ints_line buf weights;
+        Bytebuf.add_decimal_line buf weights;
         for i = 0 to Array.length edges - 1 do
           let u, v, d = edges.(i) in
           Bytebuf.add_decimal buf u;

@@ -129,8 +129,11 @@ val canonical_instance : Tlp_graph.Instance_io.instance -> string
     requests with structurally equal instances canonicalize to the same
     bytes regardless of how the client spelled them. *)
 
-val instance_digest : Tlp_graph.Instance_io.instance -> string
-(** Hex MD5 of {!canonical_instance} — the cache-key component. *)
+val instance_digest :
+  ?scratch:Tlp_util.Bytebuf.t -> Tlp_graph.Instance_io.instance -> string
+(** Hex MD5 of {!canonical_instance} — the cache-key component.  The
+    canonical text is rendered into [scratch] (cleared first) when
+    given, else into a fresh buffer. *)
 
 (** {1 Responses} *)
 

@@ -2,7 +2,6 @@ module Json = Tlp_util.Json_out
 module Metrics = Tlp_util.Metrics
 module Timer = Tlp_util.Timer
 module Bytebuf = Tlp_util.Bytebuf
-module Pool = Tlp_engine.Pool
 
 type config = {
   host : string;
@@ -43,13 +42,14 @@ type response = {
 }
 
 (* A job is an admitted frame plus everything needed to answer it from a
-   worker thread: the absolute deadline, the connection's serialized
-   reply writer (returning the render-done and write-done timestamps
-   for the trace spans), and (for tracing) the server-assigned request
-   id and the accept/enqueue timestamps. *)
+   worker domain: the absolute deadline, the cache key its connection
+   thread looked up and missed, the connection's serialized reply writer
+   (returning the render-done and write-done timestamps), and for
+   tracing the request id and the accept/enqueue timestamps. *)
 type job = {
   frame : Protocol.frame;
   deadline : float option;
+  key : Cache.key option;
   reply : response -> float * float;
   rng : Tlp_util.Rng.t;
   request_id : int;
@@ -63,13 +63,12 @@ type t = {
   actual_port : int;
   server_state : State.t;
   queue : job Admission.t;
-  pool : Pool.t;
   stop_flag : bool Atomic.t;
   conn_mutex : Mutex.t;
   conn_done : Condition.t;
   mutable live_conns : int;
   mutable accepter : Thread.t option;
-  mutable workers : Thread.t list;
+  mutable workers : unit Domain.t list;
   mutable waited : bool;
 }
 
@@ -86,20 +85,15 @@ let send_error t ~reply ~id err =
 
 let ms a b = (b -. a) *. 1000.0
 
-(* Render the outcome into a response line, write it, and — when the
-   frame asked for a trace — append the full span log to the slow ring.
-   Success envelopes additionally carry the spans known at render time
-   (accept/queue/solve); render and write can only land in the ring,
-   since the response bytes are already fixed when they complete.
-   Untraced requests take the [None] branch of every decision here, so
-   their bytes are exactly the pre-tracing rendering.
-
-   [executed] marks jobs that actually ran the handler (vs control-plane
-   inlines and queued-deadline expiries): only those feed the
-   service-time estimator, and only an executed success finishing at or
-   past its deadline counts as an overrun — answered anyway, but
-   tallied per method and, when traced, visible as an [overrun_ms]
-   span. *)
+(* Render the outcome into a response and write it.  A traced frame's
+   span log enters the slow ring *before* the write, so a client holding
+   the reply always finds it in [stats]; render, write and total spans
+   are filled in after.  Success envelopes carry the accept/queue/solve
+   spans; untraced requests render exactly as before tracing existed.
+   [executed] marks jobs that ran the handler (not hits, control-plane
+   inlines or queued-deadline expiries): only those feed the estimator,
+   and only an executed success finishing at or past its deadline is an
+   overrun — answered, tallied per method, and traced as [overrun_ms]. *)
 let finish t job ~t_dispatch ~executed outcome =
   let frame = job.frame in
   let t_solved = Timer.now () in
@@ -109,109 +103,106 @@ let finish t job ~t_dispatch ~executed outcome =
     | Ok _, Some d when executed && t_solved >= d -> Some (ms d t_solved)
     | _ -> None
   in
-  if executed then
+  if executed || Result.is_error outcome then
     State.with_lock t.server_state (fun () ->
-        State.observe_service t.server_state ~meth
-          ~ns:((t_solved -. t_dispatch) *. 1e9);
-        match overrun_ms_opt with
-        | Some o_ms ->
-            State.record_overrun t.server_state ~meth ~ns:(o_ms *. 1e6)
-        | None -> ());
-  let response, ok =
-    match outcome with
-    | Ok payload ->
-        let trace =
-          if frame.Protocol.trace then
-            let spans =
-              [
-                ("accept_ms", Json.Float (ms job.t_accept job.t_queued));
-                ("queue_ms", Json.Float (ms job.t_queued t_dispatch));
-                ("solve_ms", Json.Float (ms t_dispatch t_solved));
-              ]
-              @ (match overrun_ms_opt with
-                | Some o_ms -> [ ("overrun_ms", Json.Float o_ms) ]
-                | None -> [])
-            in
-            Some
-              (Json.Obj
-                 [
-                   ("request_id", Json.Int job.request_id);
-                   ("spans", Json.Obj spans);
-                 ])
-          else None
-        in
-        ( { resp_id = frame.Protocol.id; body = Ok (payload, trace) },
-          true )
-    | Error err ->
-        State.with_lock t.server_state (fun () ->
+        if executed then begin
+          State.observe_service t.server_state ~meth
+            ~ns:((t_solved -. t_dispatch) *. 1e9);
+          Option.iter
+            (fun o_ms ->
+              State.record_overrun t.server_state ~meth ~ns:(o_ms *. 1e6))
+            overrun_ms_opt
+        end;
+        match outcome with
+        | Error err ->
             State.record_error t.server_state
-              ~code:(Protocol.error_code_string err.Protocol.code));
-        ({ resp_id = frame.Protocol.id; body = Error err }, false)
+              ~code:(Protocol.error_code_string err.Protocol.code)
+        | Ok _ -> ());
+  let entry =
+    if frame.Protocol.trace then begin
+      let entry =
+        {
+          State.request_id = job.request_id;
+          client_id = frame.Protocol.id;
+          meth;
+          ok = Result.is_ok outcome;
+          accept_ms = ms job.t_accept job.t_queued;
+          queue_ms = ms job.t_queued t_dispatch;
+          solve_ms = ms t_dispatch t_solved;
+          render_ms = 0.0;
+          write_ms = 0.0;
+          total_ms = ms job.t_accept t_solved;
+        }
+      in
+      State.with_lock t.server_state (fun () ->
+          State.record_trace t.server_state entry);
+      Some entry
+    end
+    else None
   in
-  let t_rendered, t_written = job.reply response in
-  if frame.Protocol.trace then begin
-    State.with_lock t.server_state (fun () ->
-        State.record_trace t.server_state
-          {
-            State.request_id = job.request_id;
-            client_id = frame.Protocol.id;
-            meth = Protocol.method_name frame.Protocol.request;
-            ok;
-            accept_ms = ms job.t_accept job.t_queued;
-            queue_ms = ms job.t_queued t_dispatch;
-            solve_ms = ms t_dispatch t_solved;
-            render_ms = ms t_solved t_rendered;
-            write_ms = ms t_rendered t_written;
-            total_ms = ms job.t_accept t_written;
-          })
-  end
+  let trace (e : State.trace_entry) =
+    let overrun =
+      Option.to_list
+        (Option.map (fun o -> ("overrun_ms", Json.Float o)) overrun_ms_opt)
+    in
+    Json.Obj
+      [
+        ("request_id", Json.Int e.request_id);
+        ( "spans",
+          Json.Obj
+            (("accept_ms", Json.Float e.accept_ms)
+            :: ("queue_ms", Json.Float e.queue_ms)
+            :: ("solve_ms", Json.Float e.solve_ms)
+            :: overrun) );
+      ]
+  in
+  let body = Result.map (fun p -> (p, Option.map trace entry)) outcome in
+  let t_rendered, t_written = job.reply { resp_id = frame.Protocol.id; body } in
+  Option.iter
+    (fun (e : State.trace_entry) ->
+      State.with_lock t.server_state (fun () ->
+          e.render_ms <- ms t_solved t_rendered;
+          e.write_ms <- ms t_rendered t_written;
+          e.total_ms <- ms job.t_accept t_written))
+    entry
 
-(* ---------- worker threads ---------- *)
+(* ---------- worker domains ---------- *)
 
-(* Run the handler on a pool domain (single-item parallel_map: the
-   worker thread blocks while one domain computes).  The job's private
-   metrics sink is written only on that domain, then merged into the
-   server sink after the join — the same single-writer discipline as
-   Batch.solve_batch. *)
 let cluster_doc t =
   Handler.solo_cluster_doc ~host:t.config.host ~port:t.actual_port
 
-let execute t job =
-  let t_dispatch = Timer.now () in
-  let request_metrics = Metrics.create () in
-  let outcome =
-    (Pool.parallel_map t.pool
-       (fun job ->
-         match
-           Handler.handle ~state:t.server_state
-             ~queue_depth:(fun () -> Admission.length t.queue)
-             ~cluster:(cluster_doc t) ~debug:t.config.enable_debug ~rng:job.rng
-             ~metrics:request_metrics job.frame.Protocol.request
-         with
-         | outcome -> outcome
-         | exception e ->
-             Error (Protocol.internal (Printexc.to_string e)))
-       [| job |]).(0)
-  in
-  State.with_lock t.server_state (fun () ->
-      State.merge_request_metrics t.server_state request_metrics);
-  finish t job ~t_dispatch ~executed:true outcome
-
-let worker_loop t =
-  let rec loop () =
-    match Admission.pop t.queue with
-    | None -> () (* closed and drained *)
-    | Some job ->
-        (match job.deadline with
-        | Some d when Timer.now () >= d ->
-            (* [>=]: a deadline hit exactly at dispatch is already
-               missed — work only counts if it finishes inside it. *)
-            finish t job ~t_dispatch:(Timer.now ()) ~executed:false
-              (Error (Protocol.timeout "deadline expired while queued"))
-        | _ -> execute t job);
-        loop ()
-  in
-  loop ()
+(* The body of each of the [jobs] worker domains: the domain that pops
+   a job checks its deadline, solves it and writes the reply itself —
+   no further hand-off.  The job's private metrics sink is written only
+   here, then merged into the server sink — the same single-writer
+   discipline as Batch.solve_batch. *)
+let rec worker_loop t =
+  match Admission.pop t.queue with
+  | None -> () (* closed and drained *)
+  | Some job ->
+      let t_dispatch = Timer.now () in
+      (match job.deadline with
+      | Some d when t_dispatch >= d ->
+          (* [>=]: a deadline hit exactly at dispatch is already
+             missed — work only counts if it finishes inside it. *)
+          finish t job ~t_dispatch ~executed:false
+            (Error (Protocol.timeout "deadline expired while queued"))
+      | _ ->
+          let metrics = Metrics.create () in
+          let outcome =
+            match
+              Handler.handle ~state:t.server_state
+                ~queue_depth:(fun () -> Admission.length t.queue)
+                ~cluster:(cluster_doc t) ~debug:t.config.enable_debug
+                ~rng:job.rng ~metrics ~key:job.key job.frame.Protocol.request
+            with
+            | outcome -> outcome
+            | exception e -> Error (Protocol.internal (Printexc.to_string e))
+          in
+          State.with_lock t.server_state (fun () ->
+              State.merge_request_metrics t.server_state metrics);
+          finish t job ~t_dispatch ~executed:true outcome);
+      worker_loop t
 
 (* ---------- connection threads ---------- *)
 
@@ -239,24 +230,62 @@ type conn = {
   wbuf : Bytebuf.t;
       (* pooled write buffer, guarded by [write_mutex]; grown to the
          connection's working set once, then reused per response *)
+  dbuf : Bytebuf.t;  (* instance-digest text; connection thread only *)
+  rbuf : Bytebuf.t;
+      (* pooled read buffer: the socket reads straight into its backing
+         store and the frame scans walk it in place; only the connection
+         thread touches it *)
+  drain_cap : int;  (* read-ahead bound while a reply waits to be sent *)
   mutable wire : wire;
   mutable inflight : int;  (* admitted jobs not yet replied to *)
   mutable alive : bool;  (* peer still reachable for writes *)
 }
 
+(* A socket timeout tick or an interrupted call: nothing is wrong. *)
+let transient = function
+  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true
+  | _ -> false
+
+(* Append what the socket holds to [rbuf]; 0 at end of input. *)
+let read_some conn =
+  Bytebuf.reserve conn.rbuf 4096;
+  let bytes = Bytebuf.unsafe_bytes conn.rbuf in
+  let off = Bytebuf.length conn.rbuf in
+  let n = Unix.read conn.fd bytes off (Bytes.length bytes - off) in
+  Bytebuf.unsafe_advance conn.rbuf n;
+  n
+
+(* Read the client's pending input into [rbuf], up to [drain_cap]. *)
+let rec read_ahead conn =
+  if Bytebuf.length conn.rbuf < conn.drain_cap then
+    match read_some conn with
+    | n when n > 0 && Bytebuf.length conn.rbuf = Bytebuf.capacity conn.rbuf
+      ->
+        read_ahead conn (* filled the buffer: more may be waiting *)
+    | _ | (exception Unix.Unix_error (_, _, _)) -> ()
+
 (* Module-level recursion keeps the short-write retry loop free of the
-   per-call ref the old [while] needed. *)
-let rec write_all fd bytes pos len =
-  if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
-  end
+   per-call ref the old [while] needed.  A send-timeout tick with
+   nothing sent means the client is not reading.  A worker domain just
+   retries.  The connection thread ([drain]) is also the connection's
+   only reader, and it writes its own replies (control plane, refusals,
+   cache hits): if it only retried, a client that pipelines requests
+   and reads no reply until all are sent would wait on it while it
+   waits on the client.  So it first reads that pending input into
+   [rbuf], to be served after this reply. *)
+let rec write_all conn ~drain bytes pos len =
+  if len > 0 then
+    match Unix.single_write conn.fd bytes pos len with
+    | n -> write_all conn ~drain bytes (pos + n) (len - n)
+    | exception Unix.Unix_error (e, _, _) when transient e ->
+        if drain then read_ahead conn;
+        write_all conn ~drain bytes pos len
 
 (* Write [wbuf] to the socket. Caller holds [write_mutex]. *)
-let flush_wbuf conn =
+let flush_wbuf ~drain conn =
   try
     if conn.alive then
-      write_all conn.fd (Bytebuf.unsafe_bytes conn.wbuf) 0
+      write_all conn ~drain (Bytebuf.unsafe_bytes conn.wbuf) 0
         (Bytebuf.length conn.wbuf)
   with Unix.Unix_error _ -> conn.alive <- false
 
@@ -264,7 +293,7 @@ let conn_send_raw conn s =
   Mutex.lock conn.write_mutex;
   Bytebuf.clear conn.wbuf;
   Bytebuf.add_string conn.wbuf s;
-  flush_wbuf conn;
+  flush_wbuf ~drain:false conn;
   Mutex.unlock conn.write_mutex
 
 (* Render one response into the pooled write buffer for the
@@ -273,7 +302,7 @@ let conn_send_raw conn s =
    byte-for-byte the pre-v2 server's ([render_ok]/[render_error] plus
    newline); the v2 rendering splices the same payload into a
    length-prefixed binary frame. *)
-let[@tlp.hot] conn_respond conn response =
+let[@tlp.hot] conn_respond ~drain conn response =
   Mutex.lock conn.write_mutex;
   let buf = conn.wbuf in
   Bytebuf.clear buf;
@@ -302,139 +331,116 @@ let[@tlp.hot] conn_respond conn response =
           | Handler.Doc doc -> Frame.encode_ok_doc buf ~id ~doc ~trace)
       | Error err -> Frame.encode_error buf ~id err));
   let t_rendered = Timer.now () in
-  flush_wbuf conn;
+  flush_wbuf ~drain conn;
   let t_written = Timer.now () in
   Mutex.unlock conn.write_mutex;
   (t_rendered, t_written)
 
-let job_reply conn response =
-  let stamps = conn_respond conn response in
+let add_inflight conn d =
   Mutex.lock conn.inflight_mutex;
-  conn.inflight <- conn.inflight - 1;
+  conn.inflight <- conn.inflight + d;
   if conn.inflight = 0 then Condition.broadcast conn.inflight_done;
-  Mutex.unlock conn.inflight_mutex;
+  Mutex.unlock conn.inflight_mutex
+
+let job_reply conn response =
+  let stamps = conn_respond ~drain:false conn response in
+  add_inflight conn (-1);
   stamps
 
 (* Admission of one parsed frame — shared by both framings; only the
-   parse/decode step and the reply rendering differ per protocol. *)
+   parse/decode step and the reply rendering differ per protocol.
+   Control-plane methods and cache hits are answered right here on the
+   connection thread; only misses and uncacheable solver work cross to
+   a worker domain. *)
 let handle_parsed t conn ~t_accept parsed =
-  begin
-    match parsed with
-    | Error (id, err) -> send_error t ~reply:(conn_respond conn) ~id err
-    | Ok frame ->
-        let request = frame.Protocol.request in
-        let request_id =
+  let reply = conn_respond ~drain:true conn in
+  match parsed with
+  | Error (id, err) -> send_error t ~reply ~id err
+  | Ok frame ->
+      let request = frame.Protocol.request in
+      let meth = Protocol.method_name request in
+      let request_id =
+        State.with_lock t.server_state (fun () ->
+            State.record_request t.server_state ~meth)
+      in
+      let refuse err =
+        send_error t ~reply ~id:frame.Protocol.id err
+      in
+      let job ~deadline ~key ~reply =
+        let rng =
           State.with_lock t.server_state (fun () ->
-              State.record_request t.server_state
-                ~meth:(Protocol.method_name request))
-        in
-        if control_plane request then begin
-          let metrics = Metrics.create () in
-          let rng = State.with_lock t.server_state (fun () ->
               State.next_rng t.server_state)
-          in
-          (* Answered inline: queue time is zero by construction. *)
-          let t_queued = Timer.now () in
-          let job =
-            {
-              frame;
-              deadline = None;
-              reply = conn_respond conn;
-              rng;
-              request_id;
-              t_accept;
-              t_queued;
-            }
-          in
-          finish t job ~t_dispatch:t_queued ~executed:false
-            (Handler.handle ~state:t.server_state
-               ~queue_depth:(fun () -> Admission.length t.queue)
-               ~cluster:(cluster_doc t) ~debug:t.config.enable_debug ~rng
-               ~metrics request)
-        end
-        else if Atomic.get t.stop_flag then
-          send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
-            (Protocol.overloaded "server is draining")
-        else begin
-          let now = Timer.now () in
-          let deadline =
-            let ms =
-              match frame.Protocol.timeout_ms with
-              | Some ms -> Some ms
-              | None -> t.config.default_timeout_ms
-            in
-            Option.map (fun ms -> now +. (float_of_int ms /. 1000.0)) ms
-          in
-          (* Early shedding: a request that cannot meet its deadline is
-             answered now instead of queuing doomed work.  An already
-             expired deadline (timeout_ms 0) is a structured [timeout];
-             a deadline the queue depth and the per-method service-time
-             estimate say is unmeetable is [overloaded].  Methods with
-             no completed sample predict 0 and are never shed. *)
-          let meth = Protocol.method_name request in
-          let expired =
-            match deadline with Some d -> d <= now | None -> false
-          in
-          let doomed =
-            (not expired)
-            &&
-            match deadline with
-            | None -> false
-            | Some d ->
-                let est_ns =
-                  State.with_lock t.server_state (fun () ->
-                      State.predict_service_ns t.server_state ~meth)
-                in
-                est_ns > 0.0
-                && (let depth = Admission.length t.queue in
-                    now +. (float_of_int (depth + 1) *. est_ns *. 1e-9) > d)
-          in
-          if expired then
-            send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
-              (Protocol.timeout "deadline already expired on arrival")
-          else if doomed then begin
-            State.with_lock t.server_state (fun () ->
-                State.record_shed t.server_state);
-            send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
-              (Protocol.overloaded "deadline unmeetable at current load")
-          end
-          else begin
-            let rng = State.with_lock t.server_state (fun () ->
-                State.next_rng t.server_state)
-            in
-            let job =
-              {
-                frame;
-                deadline;
-                reply = job_reply conn;
-                rng;
-                request_id;
-                t_accept;
-                t_queued = Timer.now ();
-              }
-            in
-            Mutex.lock conn.inflight_mutex;
-            conn.inflight <- conn.inflight + 1;
-            Mutex.unlock conn.inflight_mutex;
-            if
-              not
-                (Admission.try_push t.queue
-                   ~priority:frame.Protocol.priority ~deadline job)
-            then begin
-              (* Undo the optimistic inflight count: the error reply below
-                 goes through conn_respond, not job_reply. *)
-              Mutex.lock conn.inflight_mutex;
-              conn.inflight <- conn.inflight - 1;
-              if conn.inflight = 0 then Condition.broadcast conn.inflight_done;
-              Mutex.unlock conn.inflight_mutex;
-              send_error t ~reply:(conn_respond conn) ~id:frame.Protocol.id
-                (Protocol.overloaded
-                   (if Admission.closed t.queue then "server is draining"
-                    else "admission queue full"))
-            end
-          end
-        end
-  end
+        in
+        let t_queued = Timer.now () in
+        { frame; deadline; key; reply; rng; request_id; t_accept; t_queued }
+      in
+      (* Answered inline: queue time is zero by construction. *)
+      let inline answer =
+        let job = job ~deadline:None ~key:None ~reply in
+        finish t job ~t_dispatch:job.t_queued ~executed:false (answer job.rng)
+      in
+      if control_plane request then
+        inline (fun rng ->
+            Handler.handle ~state:t.server_state
+              ~queue_depth:(fun () -> Admission.length t.queue)
+              ~cluster:(cluster_doc t) ~debug:t.config.enable_debug ~rng
+              ~metrics:(Metrics.create ()) ~key:None request)
+      else if Atomic.get t.stop_flag then
+        refuse (Protocol.overloaded "server is draining")
+      else begin
+        let now = Timer.now () in
+        let deadline =
+          Option.map
+            (fun ms -> now +. (float_of_int ms /. 1000.0))
+            (match frame.Protocol.timeout_ms with
+            | None -> t.config.default_timeout_ms
+            | ms -> ms)
+        in
+        (* Early shedding: an already expired deadline (timeout_ms 0) is
+           a structured [timeout]; one the queue depth and the method's
+           service-time estimate say is unmeetable is [overloaded] (no
+           sample yet predicts 0: never shed).  A cache hit is answered
+           between the two checks — it takes no queue slot or solve. *)
+        let doomed () =
+          match deadline with
+          | None -> false
+          | Some d ->
+              let est_ns =
+                State.with_lock t.server_state (fun () ->
+                    State.predict_service_ns t.server_state ~meth)
+              in
+              est_ns > 0.0
+              && (let depth = Admission.length t.queue in
+                  now +. (float_of_int (depth + 1) *. est_ns *. 1e-9) > d)
+        in
+        match deadline with
+        | Some d when d <= now ->
+            refuse (Protocol.timeout "deadline already expired on arrival")
+        | _ -> (
+            let key = Handler.cache_key ~scratch:conn.dbuf request in
+            match Option.bind key (Handler.lookup t.server_state) with
+            | Some entry -> inline (fun _ -> Ok (Handler.Rendered entry))
+            | None when doomed () ->
+                State.with_lock t.server_state (fun () ->
+                    State.record_shed t.server_state);
+                refuse (Protocol.overloaded "deadline unmeetable at current load")
+            | None ->
+                let job = job ~deadline ~key ~reply:(job_reply conn) in
+                add_inflight conn 1;
+                if
+                  not
+                    (Admission.try_push t.queue
+                       ~priority:frame.Protocol.priority ~deadline job)
+                then begin
+                  (* Undo the optimistic inflight count: the error reply
+                     below goes through [reply], not job_reply. *)
+                  add_inflight conn (-1);
+                  refuse
+                    (Protocol.overloaded
+                       (if Admission.closed t.queue then "server is draining"
+                        else "admission queue full"))
+                end)
+      end
 
 let handle_line t conn line =
   if String.trim line <> "" then begin
@@ -461,6 +467,9 @@ let connection_loop t fd =
       inflight_mutex = Mutex.create ();
       inflight_done = Condition.create ();
       wbuf = Bytebuf.create 4096;
+      dbuf = Bytebuf.create 4096;
+      rbuf = Bytebuf.create 4096;
+      drain_cap = t.config.max_frame_bytes;
       wire = Undecided;
       inflight = 0;
       alive = true;
@@ -470,10 +479,11 @@ let connection_loop t fd =
      checks, so idle connections cannot stall the drain. *)
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2
    with Unix.Unix_error _ -> ());
-  (* Pooled read buffer: the socket reads straight into its backing
-     store and the frame scans walk it in place, so a settled
-     connection allocates nothing per request on the read side. *)
-  let rbuf = Bytebuf.create 4096 in
+  (* A send timeout lets the connection thread read ahead while a reply
+     waits for room (see [write_all]). *)
+  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.02
+   with Unix.Unix_error _ -> ());
+  let rbuf = conn.rbuf in
   let overflow = ref false in
   let eof = ref false in
   (* v1: offset the newline scan already covered, so re-scans after a
@@ -481,7 +491,7 @@ let connection_loop t fd =
   let scanned = ref 0 in
   let frame_overflow () =
     overflow := true;
-    send_error t ~reply:(conn_respond conn) ~id:Json.Null
+    send_error t ~reply:(conn_respond ~drain:true conn) ~id:Json.Null
       (Protocol.bad_request
          (Printf.sprintf "frame exceeds %d bytes" t.config.max_frame_bytes))
   in
@@ -550,21 +560,15 @@ let connection_loop t fd =
     end
   in
   while (not !eof) && (not !overflow) && not (Atomic.get t.stop_flag) do
-    Bytebuf.reserve rbuf 4096;
-    let bytes = Bytebuf.unsafe_bytes rbuf in
-    let off = Bytebuf.length rbuf in
-    (match Unix.read fd bytes off (Bytes.length bytes - off) with
+    (match read_some conn with
     | 0 -> eof := true
-    | n ->
-        Bytebuf.unsafe_advance rbuf n;
+    | _ ->
         if conn.wire = Undecided then negotiate ();
         (match conn.wire with
         | Undecided -> () (* partial hello: wait for the rest *)
         | V1 -> process_v1 ()
         | V2 -> process_v2 ())
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
+    | exception Unix.Unix_error (e, _, _) when transient e ->
         () (* receive-timeout tick: recheck the stop flag *)
     | exception Unix.Unix_error _ -> eof := true)
   done;
@@ -640,7 +644,6 @@ let start config =
           ~queue_capacity:config.queue_capacity ~seed:config.seed
           ~session_ttl_s:config.session_ttl_s ();
       queue = Admission.create ~capacity:config.queue_capacity ();
-      pool = Pool.create ~jobs;
       stop_flag = Atomic.make false;
       conn_mutex = Mutex.create ();
       conn_done = Condition.create ();
@@ -650,7 +653,7 @@ let start config =
       waited = false;
     }
   in
-  t.workers <- List.init jobs (fun _ -> Thread.create (fun () -> worker_loop t) ());
+  t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t.accepter <- Some (Thread.create (fun () -> accept_loop t) ());
   t
 
@@ -666,15 +669,14 @@ let wait t =
   in
   if not already then begin
     (match t.accepter with Some th -> Thread.join th | None -> ());
-    (* Accept loop closed the queue on its way out; workers drain every
-       admitted job, answer it, and exit. *)
-    List.iter Thread.join t.workers;
+    (* Accept loop closed the queue on its way out; worker domains drain
+       every admitted job, answer it, and exit. *)
+    List.iter Domain.join t.workers;
     Mutex.lock t.conn_mutex;
     while t.live_conns > 0 do
       Condition.wait t.conn_done t.conn_mutex
     done;
-    Mutex.unlock t.conn_mutex;
-    Pool.shutdown t.pool
+    Mutex.unlock t.conn_mutex
   end
 
 let run config =

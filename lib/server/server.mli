@@ -1,23 +1,22 @@
-(** The TCP daemon: accept loop, connection threads, worker threads over
-    the bounded {!Admission} queue, request execution on a
-    [Tlp_engine.Pool] domain pool, graceful drain.
+(** The TCP daemon: accept loop, connection threads, worker domains
+    popping the bounded {!Admission} queue, graceful drain.
 
     Threading model (see DESIGN.md §7 for the dataflow):
 
     - one {e accept} thread multiplexes the listener with a short
       [select] tick so a stop request is noticed promptly;
-    - one lightweight {e connection} thread per client reads
-      newline-delimited frames, answers the control-plane methods
-      ([health], [stats]) and all protocol errors inline, and pushes
-      solver work onto the admission queue — a full queue is answered
+    - one lightweight {e connection} thread per client reads frames,
+      answers the control-plane methods, all protocol errors and every
+      result-cache hit inline, and pushes the rest (a miss with its
+      cache key) onto the admission queue — a full queue is answered
       immediately with [overloaded], never queued, never blocked on;
-    - [jobs] {e worker} threads pop admitted jobs, enforce the deadline
+    - [jobs] {e worker} domains pop admitted jobs, enforce the deadline
       (a job whose deadline passed while queued is answered [timeout]
-      without being solved), and execute the handler on the shared
-      domain pool;
+      without being solved), execute the handler and write the reply
+      themselves;
     - {!stop} (or SIGTERM/SIGINT wired by the binary) begins the drain:
       the listener closes, the queue refuses new work, every admitted
-      request is still answered, then workers, connections, and the pool
+      request is still answered, then worker domains and connections
       are joined.
 
     Replies carry the request [id], so pipelined requests on one
@@ -27,7 +26,7 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port — read it back with {!port} *)
-  jobs : int;  (** worker threads = pool domains *)
+  jobs : int;  (** worker domains *)
   queue_capacity : int;  (** admission queue bound *)
   cache_capacity : int;  (** LRU result-cache entries; 0 disables *)
   default_timeout_ms : int option;
@@ -48,10 +47,10 @@ val default_config : config
 type t
 
 val start : config -> t
-(** Bind, listen, spawn the accept/worker threads, and return.  Raises
-    [Unix.Unix_error] if the address cannot be bound.  Also sets SIGPIPE
-    to ignore (a client hanging up mid-response must not kill the
-    daemon). *)
+(** Bind, listen, spawn the accept thread and worker domains, and
+    return.  Raises [Unix.Unix_error] if the address cannot be bound.
+    Also sets SIGPIPE to ignore (a client hanging up mid-response must
+    not kill the daemon). *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)
@@ -65,8 +64,8 @@ val stop : t -> unit
 
 val wait : t -> unit
 (** Block until the server has fully drained: listener closed, admitted
-    requests answered, worker and connection threads joined, domain pool
-    shut down.  Returns immediately on a second call. *)
+    requests answered, worker domains and connection threads joined.
+    Returns immediately on a second call. *)
 
 val run : config -> t
 (** [start] plus SIGTERM/SIGINT handlers that {!stop} the returned

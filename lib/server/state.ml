@@ -11,9 +11,9 @@ type trace_entry = {
   accept_ms : float;
   queue_ms : float;
   solve_ms : float;
-  render_ms : float;
-  write_ms : float;
-  total_ms : float;
+  mutable render_ms : float;
+  mutable write_ms : float;
+  mutable total_ms : float;
 }
 
 let slow_ring_capacity = 16

@@ -2,16 +2,17 @@
 
     {b Design note (tlp-lint R1).}  The server is the one place in the
     tree where mutable state is genuinely shared across domains: worker
-    threads execute requests on [Tlp_engine.Pool] domains while
-    connection threads run on the main domain, and both sides touch the
-    result cache and the stats counters.  Rather than scatter that state
-    over module-toplevel refs (which R1 forbids, and which would be
-    invisible at call sites), every mutable piece lives in this record,
-    created per-server by {!create} and accessed {e only} through
-    {!with_lock} — one lock, coarse-grained on purpose: every critical
-    section is a few hashtable probes or counter bumps, microseconds
-    against the milliseconds of a solve, so contention is negligible and
-    the single-lock discipline is trivially deadlock-free.
+    domains execute queued requests while connection threads on the
+    main domain answer cache hits and the control plane, and both sides
+    touch the result cache and the stats counters.  Rather than scatter
+    that state over module-toplevel refs (which R1 forbids, and which
+    would be invisible at call sites), every mutable piece lives in this
+    record, created per-server by {!create} and accessed {e only}
+    through {!with_lock} — one lock, coarse-grained on purpose: every
+    critical section is a few hashtable probes or counter bumps,
+    microseconds against the milliseconds of a solve, so contention is
+    negligible and the single-lock discipline is trivially
+    deadlock-free.
 
     Determinism (PR 2's byte-identical contract) survives concurrency
     because nothing behind this lock feeds the solvers: requests carry
@@ -30,13 +31,15 @@ type trace_entry = {
   accept_ms : float;  (** parse + admission, read to queue push *)
   queue_ms : float;  (** waiting in the admission queue *)
   solve_ms : float;  (** handler execution (dispatch to result bytes) *)
-  render_ms : float;  (** envelope construction *)
-  write_ms : float;  (** socket write of the response line *)
-  total_ms : float;  (** read to write, end to end *)
+  mutable render_ms : float;  (** envelope construction *)
+  mutable write_ms : float;  (** socket write of the response line *)
+  mutable total_ms : float;  (** read to write, end to end *)
 }
 (** One traced request's span log — the full
     accept [->] queue [->] dispatch [->] solve [->] render [->] write
-    lifecycle.  Only requests that asked [trace:true] are recorded. *)
+    lifecycle.  Only requests that asked [trace:true] are recorded,
+    before their reply is written; the last three fields are [0.0] or
+    end at the solve until the server sets them after the write. *)
 
 val slow_ring_capacity : int
 (** Ring bound: the [stats] response reports at most this many recent

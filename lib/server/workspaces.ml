@@ -1,4 +1,4 @@
-(* A small pool of solver workspaces shared by the worker threads.
+(* A small pool of solver workspaces shared by the worker domains.
 
    [Bandwidth_hitting.Workspace] preallocates O(n) scratch; PR 2 showed
    reusing one cuts solver allocation ~13.9×, but until now the server
@@ -6,7 +6,7 @@
    workspaces by the power-of-two capacity class of the instance size
    (scratch is O(n) and independent of K), so a checked-out workspace
    always fits and a stream of similarly-sized requests converges on
-   one arena per class per concurrent worker.
+   one arena per class per concurrent worker domain.
 
    Checkout is mutex-protected and strictly exclusive — a workspace is
    never visible to two solves at once, which is the module's safety

@@ -112,6 +112,38 @@ let[@tlp.hot] add_decimal t v =
     t.len <- start + width
   end
 
+(* One row of canonical instance text, [add_decimal] per element with
+   the separators written in the same step. The loop lives here, not in
+   its caller, because under [-opaque] every cross-module call stays an
+   indirect call: per element that was an [add_decimal] and an
+   [add_char] call, about half the instance digest's render time. Each
+   int gets one [reserve] for its widest rendering plus the separator,
+   which always lands right after the digits (overwriting the slack
+   byte a one-digit value leaves); the last separator becomes the
+   newline. *)
+let[@tlp.hot] add_decimal_line t a =
+  let n = Array.length a in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get a i in
+    if v >= 0 && v < 100 then begin
+      reserve t 3;
+      let width = 2 + ((v - 10) asr 8) in
+      let start = t.len in
+      Bytes.unsafe_set t.buf start
+        (String.unsafe_get digit_pairs ((2 * v) + 2 - width));
+      Bytes.unsafe_set t.buf (start + 1)
+        (String.unsafe_get digit_pairs ((2 * v) + 1));
+      Bytes.unsafe_set t.buf (start + width) ' ';
+      t.len <- start + width + 1
+    end
+    else begin
+      add_decimal t v;
+      add_char t ' '
+    end
+  done;
+  if n = 0 then add_char t '\n'
+  else Bytes.unsafe_set t.buf (t.len - 1) '\n'
+
 let[@tlp.hot] add_u32_be t v =
   reserve t 4;
   Bytes.set_uint8 t.buf t.len ((v lsr 24) land 0xff);

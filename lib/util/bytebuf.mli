@@ -39,6 +39,13 @@ val add_decimal : t -> int -> unit
 (** Append the decimal rendering of an int — the same bytes as
     [add_string t (string_of_int v)] without allocating the string. *)
 
+val add_decimal_line : t -> int array -> unit
+(** [add_decimal_line t a] appends the elements of [a] with
+    {!add_decimal}, separated by single spaces, then a newline — the
+    same bytes as that loop of [add_decimal] and [add_char] calls, a
+    lone newline for an empty array.  Allocation-free like
+    {!add_decimal}. *)
+
 val decimal_length : int -> int
 (** [decimal_length v] is the number of bytes {!add_decimal} writes for
     [v], i.e. [String.length (string_of_int v)]; lets a caller presize. *)

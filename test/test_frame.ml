@@ -132,6 +132,18 @@ let test_decimal_matches_string_of_int =
       Bytebuf.contents buf = string_of_int v
       && Bytebuf.decimal_length v = String.length (string_of_int v))
 
+let test_decimal_line_matches_loop =
+  qcheck "add_decimal_line = add_decimal per element"
+    QCheck2.Gen.(array_size (int_range 0 40) (oneof [ int; any_width_int ]))
+    (fun a ->
+      let line = Bytebuf.create 4 in
+      Bytebuf.add_string line "row:";
+      Bytebuf.add_decimal_line line a;
+      Bytebuf.contents line
+      = "row:"
+        ^ String.concat " " (Array.to_list (Array.map string_of_int a))
+        ^ "\n")
+
 let test_json_int_matches_string_of_int =
   qcheck "Json_out.to_string (Int i) = string_of_int i" any_width_int
     (fun v ->
@@ -818,6 +830,7 @@ let suite =
     test_zigzag_round_trip;
     Alcotest.test_case "zigzag domain bounds" `Quick test_zigzag_domain_bounds;
     test_decimal_matches_string_of_int;
+    test_decimal_line_matches_loop;
     test_json_int_matches_string_of_int;
     Alcotest.test_case "varint reader rejects" `Quick test_varint_reader_rejects;
     test_binval_round_trip;

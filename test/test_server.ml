@@ -973,6 +973,289 @@ let test_loopback_slow_ring () =
           | _ -> Alcotest.fail "stats result not an object")
       | _ -> Alcotest.fail "stats response unparseable")
 
+(* A persistent v1 connection that reads one reply line per request,
+   for tests that must act between a reply and the next request. *)
+let open_line_conn port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+  (fd, Unix.in_channel_of_descr fd)
+
+let call_line (fd, ic) line =
+  let bytes = Bytes.of_string (line ^ "\n") in
+  let n = Bytes.length bytes in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write fd bytes !written (n - !written)
+  done;
+  input_line ic
+
+let close_line_conn (fd, _) = Unix.close fd
+
+(* The member at [path] (object keys) of a JSON response line. *)
+let json_path line path =
+  let rec walk v = function
+    | [] -> Some v
+    | f :: rest -> (
+        match v with
+        | Json.Obj fields ->
+            Option.bind (List.assoc_opt f fields) (fun v -> walk v rest)
+        | _ -> None)
+  in
+  match Json.parse line with Ok v -> walk v path | Error _ -> None
+
+let test_slow_ring_published_before_reply () =
+  (* The slow-ring entry of a traced request must be visible to a
+     [stats] call that any client makes after reading the reply — even
+     on another connection, while the worker domain that wrote the
+     reply has not yet filled in the write span. *)
+  with_server (fun srv ->
+      let port = Server.port srv in
+      let solver = open_line_conn port and observer = open_line_conn port in
+      Fun.protect
+        ~finally:(fun () ->
+          close_line_conn solver;
+          close_line_conn observer)
+        (fun () ->
+          for round = 0 to 199 do
+            (* A fresh K per round: every traced request is a miss, so it
+               is executed and written by a worker domain. *)
+            let reply =
+              call_line solver (traced_partition_line ~id:round ~k:(9 + round))
+            in
+            let rid =
+              match json_path reply [ "trace"; "request_id" ] with
+              | Some (Json.Int rid) -> rid
+              | _ -> Alcotest.failf "round %d: no request_id in %s" round reply
+            in
+            let stats = call_line observer {|{"id":0,"method":"stats"}|} in
+            let ring =
+              match json_path stats [ "result"; "slow_ring" ] with
+              | Some (Json.List entries) -> entries
+              | _ -> Alcotest.failf "round %d: stats has no slow_ring" round
+            in
+            if
+              not
+                (List.exists
+                   (function
+                     | Json.Obj e ->
+                         List.assoc_opt "request_id" e = Some (Json.Int rid)
+                     | _ -> false)
+                   ring)
+            then
+              Alcotest.failf "round %d: request_id %d missing from the ring"
+                round rid
+          done))
+
+let test_hits_bypass_admission () =
+  (* One worker domain, queue of one.  With the domain jammed and the
+     queue full, a cached partition is still answered at once — on the
+     connection thread, never queued — while misses are refused as
+     before.  The two arrival checks still come first. *)
+  with_server ~jobs:1 ~queue:1 ~debug:true (fun srv ->
+      let port = Server.port srv in
+      let primed = exchange port [ partition_line ~id:1 ~k:9 () ] in
+      check_bool "prime ok" true (error_code (List.hd primed) = None);
+      let jam_done = Atomic.make false in
+      let jam =
+        Thread.create
+          (fun () ->
+            ignore
+              (exchange port
+                 [ {|{"id":0,"method":"sleep","params":{"ms":800}}|} ]);
+            Atomic.set jam_done true)
+          ()
+      in
+      Thread.delay 0.2 (* let the domain pop the jam *);
+      let queued =
+        Thread.create
+          (fun () -> ignore (exchange port [ partition_line ~id:2 ~k:10 () ]))
+          ()
+      in
+      Thread.delay 0.1 (* let the miss take the only queue slot *);
+      let conn = open_line_conn port in
+      Fun.protect
+        ~finally:(fun () -> close_line_conn conn)
+        (fun () ->
+          let hit = call_line conn (traced_partition_line ~id:3 ~k:9) in
+          check_bool "hit answered before the jam ends" false
+            (Atomic.get jam_done);
+          check_bool "hit ok" true (error_code hit = None);
+          check_bool "hit never queued" true
+            (json_path hit [ "trace"; "spans"; "queue_ms" ]
+            = Some (Json.Float 0.0));
+          let miss = call_line conn (partition_line ~id:4 ~k:11 ()) in
+          check_bool "further miss refused" true
+            (error_code miss = Some "overloaded"
+            && contains miss "admission queue full");
+          let expired =
+            call_line conn
+              (Printf.sprintf
+                 {|{"id":5,"method":"partition","timeout_ms":0,"params":{"instance":%s,"k":9}}|}
+                 inline_chain)
+          in
+          check_bool "expired hit is a timeout" true
+            (error_code expired = Some "timeout"
+            && contains expired "deadline already expired on arrival");
+          (* Let the connection thread get back into its read: a stop
+             seen before that read closes the connection unread.  The
+             read's 0.2 s receive-timeout tick is still far off. *)
+          Thread.delay 0.05;
+          Server.stop srv;
+          let draining = call_line conn (partition_line ~id:6 ~k:9 ()) in
+          check_bool "hit while draining refused" true
+            (error_code draining = Some "overloaded"
+            && contains draining "server is draining"));
+      Thread.join queued;
+      Thread.join jam)
+
+let test_pipelined_hits_no_deadlock () =
+  (* Cache hits are written by the connection thread that also reads the
+     connection.  A client that sends all its pipelined requests before
+     reading a reply must still get every answer: here 50 hits whose
+     replies (about 45 MB in all) far exceed the socket buffers, behind
+     8 MB of requests (JSON whitespace pads each one). *)
+  with_server (fun srv ->
+      let port = Server.port srv in
+      let chain =
+        Tlp_graph.Chain_gen.figure2 (Tlp_util.Rng.create 7) ~n:20_000
+          ~max_weight:20
+      in
+      let line =
+        Printf.sprintf
+          {|{"id":1,%s"method":"sweep","params":{"instance":%s,"k_values":[%s]}}|}
+          (String.make 60_000 ' ')
+          (Json.to_string
+             (Json.String (Io.to_string (Io.Chain_instance chain))))
+          (String.concat ","
+             (List.init 64 (fun i -> string_of_int (40 + (3 * i)))))
+      in
+      let primed = List.hd (exchange port [ line ]) in
+      let repeats = 50 in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+      let sent = Atomic.make false in
+      let writer =
+        Thread.create
+          (fun () ->
+            let bytes =
+              Bytes.of_string
+                (String.concat "" (List.init repeats (fun _ -> line ^ "\n")))
+            in
+            let n = Bytes.length bytes in
+            let written = ref 0 in
+            try
+              while !written < n do
+                written :=
+                  !written + Unix.write fd bytes !written (n - !written)
+              done;
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              Atomic.set sent true
+            with Unix.Unix_error _ -> ())
+          ()
+      in
+      let give_up = Unix.gettimeofday () +. 30.0 in
+      while (not (Atomic.get sent)) && Unix.gettimeofday () < give_up do
+        Thread.delay 0.02
+      done;
+      if not (Atomic.get sent) then begin
+        (* Unblock both sides before failing, so the drain can finish. *)
+        Unix.shutdown fd Unix.SHUTDOWN_ALL;
+        Thread.join writer;
+        Unix.close fd;
+        Alcotest.fail "requests still unsent after 30 s: server stopped reading"
+      end;
+      Thread.join writer;
+      let ic = Unix.in_channel_of_descr fd in
+      let rec count ok n =
+        match input_line ic with
+        | l -> count (ok && String.equal l primed) (n + 1)
+        | exception End_of_file -> (ok, n)
+      in
+      let same, answered = count true 0 in
+      Unix.close fd;
+      check_int "every pipelined hit answered" repeats answered;
+      check_bool "each reply replays the primed bytes" true same)
+
+let test_cache_counted_once () =
+  (* The digest is taken and the cache probed exactly once per request,
+     on the connection thread: a miss adds one to cache.misses and to
+     the server_cache_misses metric (not one per lookup site), a hit
+     one to cache.hits.  Every request still counts under requests. *)
+  with_server (fun srv ->
+      let st = Server.state srv in
+      let counts () =
+        State.with_lock st (fun () ->
+            let c = State.cache st and m = State.metrics st in
+            ( Cache.hits c,
+              Cache.misses c,
+              Tlp_util.Metrics.get m "server_cache_hits",
+              Tlp_util.Metrics.get m "server_cache_misses" ))
+      in
+      let requests_total () =
+        match List.assoc_opt "requests" (stats_result srv) with
+        | Some (Json.Obj r) -> (
+            match List.assoc_opt "total" r with
+            | Some (Json.Int n) -> n
+            | _ -> Alcotest.fail "requests.total missing")
+        | _ -> Alcotest.fail "stats requests missing"
+      in
+      let instance =
+        Json.Obj
+          [
+            ("kind", Json.String "chain");
+            ("alpha", Json.List (List.map (fun a -> Json.Int a) [ 4; 2; 7; 3; 5 ]));
+            ("beta", Json.List (List.map (fun b -> Json.Int b) [ 6; 2; 9; 4 ]));
+          ]
+      in
+      List.iteri
+        (fun i proto ->
+          let client =
+            Tlp_client.Client.create ~port:(Server.port srv) ~proto
+              ~rng:(Tlp_util.Rng.create 5) ()
+          in
+          List.iter
+            (fun (meth, params) ->
+              let call () =
+                match Tlp_client.Client.call client ~meth ~params () with
+                | Ok _ -> ()
+                | Error e ->
+                    Alcotest.failf "%s: %s" meth
+                      (Tlp_client.Client.error_to_string e)
+              in
+              let label what = Printf.sprintf "v%d %s %s" (i + 1) meth what in
+              let h0, m0, mh0, mm0 = counts () and t0 = requests_total () in
+              call ();
+              let h1, m1, mh1, mm1 = counts () and t1 = requests_total () in
+              check_int (label "miss: cache.misses +1") (m0 + 1) m1;
+              check_int (label "miss: server_cache_misses +1") (mm0 + 1) mm1;
+              check_int (label "miss: no hit") h0 h1;
+              check_int (label "miss: hit metric unchanged") mh0 mh1;
+              (* +2: the request itself and the stats call before it. *)
+              check_int (label "miss: requests.total") (t0 + 2) t1;
+              call ();
+              let h2, m2, mh2, mm2 = counts () and t2 = requests_total () in
+              check_int (label "hit: cache.hits +1") (h1 + 1) h2;
+              check_int (label "hit: server_cache_hits +1") (mh1 + 1) mh2;
+              check_int (label "hit: no miss") m1 m2;
+              check_int (label "hit: miss metric unchanged") mm1 mm2;
+              check_int (label "hit: requests.total") (t1 + 2) t2)
+            [
+              ( "partition",
+                Json.Obj
+                  [ ("instance", instance); ("k", Json.Int (9 + i)) ] );
+              ( "sweep",
+                Json.Obj
+                  [
+                    ("instance", instance);
+                    ( "k_values",
+                      Json.List [ Json.Int 7; Json.Int (12 + i) ] );
+                  ] );
+            ];
+          Tlp_client.Client.close client)
+        [ Tlp_client.Client.V1; Tlp_client.Client.V2 ])
+
 let test_shutdown_refuses_new_connections () =
   let port =
     with_server (fun srv ->
@@ -1058,6 +1341,14 @@ let suite =
       test_loopback_trace_off_byte_identity;
     Alcotest.test_case "trace: slow ring in stats" `Quick
       test_loopback_slow_ring;
+    Alcotest.test_case "trace: slow ring published before reply" `Quick
+      test_slow_ring_published_before_reply;
+    Alcotest.test_case "loopback: cache hits bypass admission" `Quick
+      test_hits_bypass_admission;
+    Alcotest.test_case "loopback: digest and cache counted once" `Quick
+      test_cache_counted_once;
+    Alcotest.test_case "loopback: pipelined hits never deadlock" `Quick
+      test_pipelined_hits_no_deadlock;
     Alcotest.test_case "loopback: drained port refuses" `Quick
       test_shutdown_refuses_new_connections;
     Alcotest.test_case "add_decimal allocation-free" `Quick
