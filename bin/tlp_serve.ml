@@ -172,28 +172,20 @@ let call host port requests expect_ok proto =
         | Error e -> transport_fail e
         | Ok payload -> (
             Printf.eprintf "frame %s\n" (Digest.to_hex (Digest.string payload));
-            match Tlp_client.Frame.decode_response payload with
+            match Tlp_server.Frame.decode_response payload with
             | Error msg ->
                 incr failures;
                 Printf.eprintf "error: undecodable v2 response: %s\n" msg
-            | Ok (Tlp_client.Frame.Result { id; result; trace }) ->
-                let result = Json.to_string result in
+            | Ok { id; body } ->
                 let line =
-                  match trace with
-                  | Some trace -> Protocol.render_ok_traced ~id ~result ~trace
-                  | None -> Protocol.render_ok ~id ~result
+                  match body with
+                  | Ok (result, Some trace) ->
+                      Protocol.render_ok_traced ~id
+                        ~result:(Json.to_string result) ~trace
+                  | Ok (result, None) ->
+                      Protocol.render_ok ~id ~result:(Json.to_string result)
+                  | Error err -> Protocol.render_error ~id err
                 in
-                print_endline line;
-                check_line line
-            | Ok (Tlp_client.Frame.Rpc_err { id; code; message }) ->
-                let err =
-                  match code with
-                  | "overloaded" -> Protocol.overloaded message
-                  | "timeout" -> Protocol.timeout message
-                  | "internal" -> Protocol.internal message
-                  | _ -> Protocol.bad_request message
-                in
-                let line = Protocol.render_error ~id err in
                 print_endline line;
                 check_line line))
   in

@@ -1,6 +1,7 @@
 module Json = Tlp_util.Json_out
 module Rng = Tlp_util.Rng
 module Timer = Tlp_util.Timer
+module Bytebuf = Tlp_util.Bytebuf
 
 let schema = "tlp.rpc/v1"
 
@@ -36,20 +37,15 @@ type response = {
 (* Internal control flow for socket failures; never escapes this module. *)
 exception Fail of error
 
-let request_line ?id ?timeout_ms ?priority ?(trace = false) ~meth ?params () =
-  let fields =
-    (match id with Some id -> [ ("id", id) ] | None -> [])
-    @ [ ("method", Json.String meth) ]
-    @ (match timeout_ms with
-      | Some ms -> [ ("timeout_ms", Json.Int ms) ]
-      | None -> [])
-    @ (match priority with
-      | Some p -> [ ("priority", Json.String p) ]
-      | None -> [])
-    @ (if trace then [ ("trace", Json.Bool true) ] else [])
-    @ match params with Some p -> [ ("params", p) ] | None -> []
-  in
-  Json.to_string (Json.Obj fields)
+let request_line ?id ?timeout_ms ?priority ?trace ~meth ?params () =
+  Json.to_string
+    (Frame.request_doc ?id ?timeout_ms ?priority ?trace ~meth ?params ())
+
+let rpc_error ~code message =
+  match code with
+  | "overloaded" -> Overloaded message
+  | "timeout" -> Timeout message
+  | _ -> Rpc_error { code; message }
 
 let classify_response raw =
   let bad fmt = Printf.ksprintf (fun m -> Error (Bad_response m)) fmt in
@@ -72,11 +68,8 @@ let classify_response raw =
                   match
                     (List.assoc_opt "code" err, List.assoc_opt "message" err)
                   with
-                  | Some (Json.String code), Some (Json.String message) -> (
-                      match code with
-                      | "overloaded" -> Error (Overloaded message)
-                      | "timeout" -> Error (Timeout message)
-                      | _ -> Error (Rpc_error { code; message }))
+                  | Some (Json.String code), Some (Json.String message) ->
+                      Error (rpc_error ~code message)
                   | _ -> bad "error object missing code/message strings")
               | _ -> bad "error response without \"error\" object")
           | _ -> bad "response missing boolean \"ok\"")
@@ -90,9 +83,11 @@ type t = {
   policy : Backoff.policy;
   default_deadline_ms : int option;
   rng : Rng.t;
-  rbuf : Bytes.t;  (* pooled receive chunk, reused across reads *)
+  inbuf : Bytebuf.t;
+      (* received bytes not yet consumed; the socket reads straight
+         into its backing store *)
+  mutable scanned : int;  (* prefix of [inbuf] known to hold no newline *)
   mutable fd : Unix.file_descr option;
-  mutable residue : string;
   mutable dials : int;
 }
 
@@ -105,18 +100,22 @@ let create ?(host = "127.0.0.1") ?(port = 7171) ?(proto = V1)
     policy;
     default_deadline_ms;
     rng;
-    rbuf = Bytes.create 8192;
+    inbuf = Bytebuf.create 8192;
+    scanned = 0;
     fd = None;
-    residue = "";
     dials = 0;
   }
+
+let discard_input t =
+  Bytebuf.clear t.inbuf;
+  t.scanned <- 0
 
 let close t =
   (match t.fd with
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
   t.fd <- None;
-  t.residue <- ""
+  discard_input t
 
 let is_connected t = Option.is_some t.fd
 let connections t = t.dials
@@ -141,7 +140,7 @@ let ensure_connected t =
       match Unix.connect fd addr with
       | () ->
           t.fd <- Some fd;
-          t.residue <- "";
+          discard_input t;
           t.dials <- t.dials + 1;
           fd
       | exception Unix.Unix_error (err, _, _) ->
@@ -173,16 +172,27 @@ let send_all t fd payload =
   in
   go 0
 
+(* Only the bytes after [scanned] are searched, so a long response
+   arriving in many reads costs linear time, not quadratic. *)
 let take_line t =
-  match String.index_opt t.residue '\n' with
-  | None -> None
-  | Some i ->
-      let line = String.sub t.residue 0 i in
-      t.residue <-
-        String.sub t.residue (i + 1) (String.length t.residue - i - 1);
-      Some line
+  let bytes = Bytebuf.unsafe_bytes t.inbuf in
+  let len = Bytebuf.length t.inbuf in
+  let rec find i =
+    if i < len && Bytes.get bytes i <> '\n' then find (i + 1) else i
+  in
+  let nl = find t.scanned in
+  if nl = len then begin
+    t.scanned <- len;
+    None
+  end
+  else begin
+    let line = Bytes.sub_string bytes 0 nl in
+    Bytebuf.shift_left t.inbuf ~pos:(nl + 1);
+    t.scanned <- 0;
+    Some line
+  end
 
-(* One socket read appended to the residue, honoring the deadline. *)
+(* One socket read appended to [inbuf], honoring the deadline. *)
 let fill t fd ~deadline =
   let remaining =
     match deadline with
@@ -194,9 +204,12 @@ let fill t fd ~deadline =
         else r
   in
   Unix.setsockopt_float fd SO_RCVTIMEO remaining;
-  match Unix.read fd t.rbuf 0 (Bytes.length t.rbuf) with
+  Bytebuf.reserve t.inbuf 8192;
+  let bytes = Bytebuf.unsafe_bytes t.inbuf in
+  let off = Bytebuf.length t.inbuf in
+  match Unix.read fd bytes off (Bytes.length bytes - off) with
   | 0 -> fail_close t (Transport "connection closed by server")
-  | n -> t.residue <- t.residue ^ Bytes.sub_string t.rbuf 0 n
+  | n -> Bytebuf.unsafe_advance t.inbuf n
   | exception Unix.Unix_error (EINTR, _, _) -> ()
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
       fail_close t (Timeout "deadline expired awaiting response")
@@ -215,23 +228,19 @@ let recv_line t fd ~deadline =
   go ()
 
 let recv_exact t fd ~deadline n =
-  while String.length t.residue < n do
+  while Bytebuf.length t.inbuf < n do
     fill t fd ~deadline
   done;
-  let s = String.sub t.residue 0 n in
-  t.residue <- String.sub t.residue n (String.length t.residue - n);
+  let s = Bytes.sub_string (Bytebuf.unsafe_bytes t.inbuf) 0 n in
+  Bytebuf.shift_left t.inbuf ~pos:n;
+  t.scanned <- 0;
   s
 
 (* Read one length-prefixed v2 frame; returns the payload bytes. *)
 let recv_frame t fd ~deadline =
   let hdr = recv_exact t fd ~deadline 4 in
-  let len =
-    (Char.code hdr.[0] lsl 24)
-    lor (Char.code hdr.[1] lsl 16)
-    lor (Char.code hdr.[2] lsl 8)
-    lor Char.code hdr.[3]
-  in
-  recv_exact t fd ~deadline len
+  recv_exact t fd ~deadline
+    (Int32.to_int (String.get_int32_be hdr 0) land 0xffff_ffff)
 
 let deadline_of t deadline_ms =
   match
@@ -281,11 +290,7 @@ let classify_payload raw =
   match Frame.decode_response raw with
   | Error msg -> Error (Bad_response msg)
   | Ok (Frame.Result { id; result; trace }) -> Ok { id; result; trace; raw }
-  | Ok (Frame.Rpc_err { code = "overloaded"; message; _ }) ->
-      Error (Overloaded message)
-  | Ok (Frame.Rpc_err { code = "timeout"; message; _ }) ->
-      Error (Timeout message)
-  | Ok (Frame.Rpc_err { code; message; _ }) -> Error (Rpc_error { code; message })
+  | Ok (Frame.Rpc_err { code; message; _ }) -> Error (rpc_error ~code message)
 
 let retry_loop t ~deadline ~classify payload =
   match

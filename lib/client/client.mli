@@ -168,6 +168,7 @@ val call :
     call site is protocol-independent.  [timeout_ms] is the
     {e server-side} queue deadline carried in the frame; [priority]
     the server-side admission class; [deadline_ms] is the
-    {e client-side} end-to-end bound.  A request the binary layout
-    cannot express returns [Rpc_error] with code [bad_request] without
-    touching the wire. *)
+    {e client-side} end-to-end bound.  On a [V2] client, a request the
+    v1 parser refuses (or the binary layout cannot carry) returns
+    [Rpc_error] with code [bad_request], and the v1 server's message,
+    without touching the wire. *)

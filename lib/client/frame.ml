@@ -1,317 +1,54 @@
-(* Client-side codec for the [tlp.rpc/v2] binary framing.
-
-   Mirrors the server codec ([Tlp_server.Frame]) byte for byte without
-   depending on it: requests are encoded from the same field values
-   [Client.request_line] renders as JSON, so the two protocols share
-   one call-site shape and the differential suite can compare the
-   client's bytes against the server's own encoder. Defaults match the
-   v1 parser (partition algorithm "bandwidth", sweep "hitting", verify
-   rounds 100 / seed 1), so a request built from identical arguments
-   is identical on both wires. See PROTOCOL.md §7 for the layout. *)
+(* Client-side adapter over the one [tlp.rpc/v2] codec
+   ([Tlp_server.Frame]).  A request is built from the same arguments
+   [Client.request_line] renders as JSON, validated by the v1 parser
+   ([Protocol.parse_request]) and encoded by the server's own encoder,
+   so the two framings accept the same requests, with the same
+   defaults and the same refusal messages.  See PROTOCOL.md §7 for the
+   layout. *)
 
 module Json = Tlp_util.Json_out
 module Bytebuf = Tlp_util.Bytebuf
-module Binval = Tlp_util.Binval
-module R = Tlp_util.Bytebuf.Reader
+module Protocol = Tlp_server.Protocol
+module Sframe = Tlp_server.Frame
 
-let schema = "tlp.rpc/v2"
-let hello = "\xf2TLP2"
+let schema = Sframe.schema
+let hello = Sframe.hello
 
-(* Encode failures are programming errors at the call site (bad method
-   name, params that don't fit the binary layout); they surface as
-   [Error] so callers can report them without a protocol round trip. *)
-exception Unencodable of string
+let request_doc ?id ?timeout_ms ?priority ?(trace = false) ~meth ?params () =
+  Json.Obj
+    ((match id with Some id -> [ ("id", id) ] | None -> [])
+    @ [ ("method", Json.String meth) ]
+    @ (match timeout_ms with
+      | Some ms -> [ ("timeout_ms", Json.Int ms) ]
+      | None -> [])
+    @ (match priority with
+      | Some p -> [ ("priority", Json.String p) ]
+      | None -> [])
+    @ (if trace then [ ("trace", Json.Bool true) ] else [])
+    @ match params with Some p -> [ ("params", p) ] | None -> [])
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Unencodable m)) fmt
-
-let write_id buf (id : Json.t) =
-  match id with
-  | Json.Null -> Bytebuf.add_u8 buf 0
-  | Json.Int i ->
-      Bytebuf.add_u8 buf 1;
-      Bytebuf.add_zigzag buf i
-  | Json.String s ->
-      Bytebuf.add_u8 buf 2;
-      Bytebuf.add_varint buf (String.length s);
-      Bytebuf.add_string buf s
-  | _ -> fail "id must be null, int or string"
-
-let field name fields = List.assoc_opt name fields
-
-let require name fields =
-  match field name fields with
-  | Some v -> v
-  | None -> fail "missing required field %S" name
-
-let as_int name = function
-  | Json.Int i -> i
-  | _ -> fail "field %S must be an integer" name
-
-let as_string name = function
-  | Json.String s -> s
-  | _ -> fail "field %S must be a string" name
-
-let as_int_array name = function
-  | Json.List items -> Array.of_list (List.map (as_int name) items)
-  | _ -> fail "field %S must be an array of integers" name
-
-let add_nonneg buf name v =
-  if v < 0 then fail "field %S must be non-negative, got %d" name v;
-  Bytebuf.add_varint buf v
-
-(* Inline instance objects only: the text format needs the full
-   instance parser, which lives server-side. *)
-let write_instance buf name (v : Json.t) =
-  match v with
-  | Json.Obj fields -> (
-      match as_string "kind" (require "kind" fields) with
-      | "chain" ->
-          let alpha = as_int_array "alpha" (require "alpha" fields) in
-          let beta = as_int_array "beta" (require "beta" fields) in
-          let n = Array.length alpha in
-          if Array.length beta <> max 0 (n - 1) then
-            fail "chain needs %d beta entries, got %d" (max 0 (n - 1))
-              (Array.length beta);
-          Bytebuf.add_u8 buf 1;
-          Bytebuf.add_varint buf n;
-          Array.iter (add_nonneg buf "alpha") alpha;
-          Array.iter (add_nonneg buf "beta") beta
-      | "tree" ->
-          let weights = as_int_array "weights" (require "weights" fields) in
-          let n = Array.length weights in
-          let parents =
-            match require "parents" fields with
-            | Json.List items ->
-                Array.of_list
-                  (List.map
-                     (function
-                       | Json.List [ Json.Int p; Json.Int d ] -> (p, d)
-                       | _ ->
-                           fail
-                             "field \"parents\" must be an array of [parent, \
-                              delta] integer pairs")
-                     items)
-            | _ -> fail "field \"parents\" must be an array"
-          in
-          if Array.length parents <> max 0 (n - 1) then
-            fail "tree needs %d parent entries, got %d" (max 0 (n - 1))
-              (Array.length parents);
-          Bytebuf.add_u8 buf 2;
-          Bytebuf.add_varint buf n;
-          Array.iter (add_nonneg buf "weights") weights;
-          (* Same edge order [Tree.of_parents] produces: entry [i] is
-             the edge (parent, i+1, delta). *)
-          Array.iteri
-            (fun i (p, d) ->
-              add_nonneg buf "parents" p;
-              add_nonneg buf "parents" (i + 1);
-              add_nonneg buf "parents" d)
-            parents
-      | other -> fail "unknown instance kind %S (chain | tree)" other)
-  | Json.String _ ->
-      fail "field %S: text instances need the v1 protocol or the server-side \
-            encoder"
-        name
-  | _ -> fail "field %S must be an object" name
-
-let encode_request ?(id = Json.Null) ?timeout_ms ?priority ?(trace = false)
-    ~meth ?(params = Json.Obj []) () =
-  let fields =
-    match params with
-    | Json.Obj fields -> fields
-    | _ -> raise (Unencodable "field \"params\" must be an object")
-  in
+let encode_request ?id ?timeout_ms ?priority ?trace ~meth ?params () =
   match
-    let buf = Bytebuf.create 256 in
-    Bytebuf.add_u32_be buf 0;
-    Bytebuf.add_u8 buf
-      (match meth with
-      | "partition" -> 1
-      | "sweep" -> 2
-      | "verify" -> 3
-      | "stats" -> 4
-      | "health" -> 5
-      | "sleep" -> 6
-      | "cluster" -> 7
-      | "open" -> 8
-      | "update" -> 9
-      | "resolve" -> 10
-      | other ->
-          fail
-            "unknown method %S (partition | sweep | verify | stats | health | \
-             open | update | resolve)"
-            other);
-    write_id buf id;
-    let batch =
-      match priority with
-      | None | Some "interactive" -> false
-      | Some "batch" -> true
-      | Some _ -> fail "field \"priority\" must be \"interactive\" or \"batch\""
-    in
-    let flags =
-      (match timeout_ms with Some _ -> 1 | None -> 0)
-      lor (if batch then 2 else 0)
-      lor if trace then 4 else 0
-    in
-    Bytebuf.add_u8 buf flags;
-    (match timeout_ms with
-    | Some ms -> add_nonneg buf "timeout_ms" ms
-    | None -> ());
-    (match meth with
-    | "partition" ->
-        Bytebuf.add_u8 buf
-          (match
-             Option.map (as_string "algorithm") (field "algorithm" fields)
-           with
-          | None | Some "bandwidth" -> 1
-          | Some "bottleneck" -> 2
-          | Some "procmin" -> 3
-          | Some "pipeline" -> 4
-          | Some other ->
-              fail
-                "unknown algorithm %S (bandwidth | bottleneck | procmin | \
-                 pipeline)"
-                other);
-        let k = as_int "k" (require "k" fields) in
-        if k <= 0 then fail "field \"k\" must be positive, got %d" k;
-        Bytebuf.add_varint buf k;
-        write_instance buf "instance" (require "instance" fields)
-    | "sweep" ->
-        Bytebuf.add_u8 buf
-          (match
-             Option.map (as_string "algorithm") (field "algorithm" fields)
-           with
-          | None | Some "hitting" -> 1
-          | Some "deque" -> 2
-          | Some other -> fail "unknown algorithm %S (deque | hitting)" other);
-        let ks = as_int_array "k_values" (require "k_values" fields) in
-        if Array.length ks = 0 then fail "field \"k_values\" must be non-empty";
-        Bytebuf.add_varint buf (Array.length ks);
-        Array.iter (add_nonneg buf "k_values") ks;
-        write_instance buf "instance" (require "instance" fields)
-    | "verify" ->
-        let rounds =
-          match Option.map (as_int "rounds") (field "rounds" fields) with
-          | None -> 100
-          | Some r -> r
-        in
-        add_nonneg buf "rounds" rounds;
-        let seed =
-          match Option.map (as_int "seed") (field "seed" fields) with
-          | None -> 1
-          | Some s -> s
-        in
-        Bytebuf.add_zigzag buf seed
-    | "sleep" -> add_nonneg buf "ms" (as_int "ms" (require "ms" fields))
-    | "open" ->
-        (match Option.map (as_string "session") (field "session" fields) with
-        | None -> Bytebuf.add_u8 buf 0
-        | Some name ->
-            Bytebuf.add_u8 buf 1;
-            Bytebuf.add_varint buf (String.length name);
-            Bytebuf.add_string buf name);
-        write_instance buf "instance" (require "instance" fields)
-    | "update" ->
-        let session = as_string "session" (require "session" fields) in
-        Bytebuf.add_varint buf (String.length session);
-        Bytebuf.add_string buf session;
-        (* Same positional triples the v1 params carry:
-           ["vertex"|"edge", index, delta]. *)
-        let deltas =
-          match require "deltas" fields with
-          | Json.List items -> items
-          | _ -> fail "field \"deltas\" must be an array"
-        in
-        if deltas = [] then fail "field \"deltas\" must be non-empty";
-        Bytebuf.add_varint buf (List.length deltas);
-        List.iter
-          (function
-            | Json.List [ Json.String kind; Json.Int index; Json.Int delta ]
-              when kind = "vertex" || kind = "edge" ->
-                Bytebuf.add_u8 buf (if kind = "vertex" then 1 else 2);
-                add_nonneg buf "deltas" index;
-                Bytebuf.add_zigzag buf delta
-            | _ ->
-                fail
-                  "field \"deltas\" must be an array of [\"vertex\" | \
-                   \"edge\", index, delta] triples")
-          deltas
-    | "resolve" ->
-        Bytebuf.add_u8 buf
-          (match
-             Option.map (as_string "algorithm") (field "algorithm" fields)
-           with
-          | None | Some "bandwidth" -> 1
-          | Some "bottleneck" -> 2
-          | Some "procmin" -> 3
-          | Some "pipeline" -> 4
-          | Some other ->
-              fail
-                "unknown algorithm %S (bandwidth | bottleneck | procmin | \
-                 pipeline)"
-                other);
-        let k = as_int "k" (require "k" fields) in
-        if k <= 0 then fail "field \"k\" must be positive, got %d" k;
-        Bytebuf.add_varint buf k;
-        let session = as_string "session" (require "session" fields) in
-        Bytebuf.add_varint buf (String.length session);
-        Bytebuf.add_string buf session
-    | _ -> ());
-    Bytebuf.patch_u32_be buf ~pos:0 (Bytebuf.length buf - 4);
-    Bytebuf.contents buf
+    Protocol.parse_request
+      (request_doc ?id ?timeout_ms ?priority ?trace ~meth ?params ())
   with
-  | frame -> Ok frame
-  | exception Unencodable msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
-
-(* ---------- responses ---------- *)
+  | Error (_, err) -> Error err.Protocol.message
+  | Ok frame -> (
+      let buf = Bytebuf.create 256 in
+      match Sframe.encode_request buf frame with
+      | () -> Ok (Bytebuf.contents buf)
+      | exception Invalid_argument msg ->
+          Error ("not expressible in " ^ schema ^ ": " ^ msg))
 
 type payload =
   | Result of { id : Json.t; result : Json.t; trace : Json.t option }
   | Rpc_err of { id : Json.t; code : string; message : string }
 
-let read_id r =
-  match R.u8 r with
-  | 0 -> Json.Null
-  | 1 -> Json.Int (R.zigzag r)
-  | 2 -> Json.String (R.bytes r (R.varint r))
-  | tag -> raise (Unencodable (Printf.sprintf "bad id tag %d" tag))
-
-let decode_response body =
-  let r =
-    R.make (Bytes.unsafe_of_string body) ~pos:0 ~limit:(String.length body)
-  in
-  let value what =
-    match Binval.read r with
-    | Ok v -> v
-    | Error msg -> fail "bad %s value: %s" what msg
-  in
-  match
-    let status = R.u8 r in
-    let id = read_id r in
-    let payload =
-      match status with
-      | 0 ->
-          let code =
-            match R.u8 r with
-            | 1 -> "bad_request"
-            | 2 -> "overloaded"
-            | 3 -> "timeout"
-            | 4 -> "internal"
-            | 5 -> "unavailable"
-            | tag -> fail "bad error code tag %d" tag
-          in
-          let message = R.bytes r (R.varint r) in
-          Rpc_err { id; code; message }
-      | 1 -> Result { id; result = value "result"; trace = None }
-      | 3 ->
-          let result = value "result" in
-          Result { id; result; trace = Some (value "trace") }
-      | s -> fail "bad status byte %d" s
-    in
-    if R.remaining r <> 0 then fail "trailing bytes after response payload";
-    payload
-  with
-  | payload -> Ok payload
-  | exception Unencodable msg -> Error msg
-  | exception R.Short -> Error "truncated response frame"
+let decode_response payload =
+  Result.map
+    (fun { Sframe.id; body } ->
+      match body with
+      | Ok (result, trace) -> Result { id; result; trace }
+      | Error { Protocol.code; message } ->
+          Rpc_err { id; code = Protocol.error_code_string code; message })
+    (Sframe.decode_response payload)

@@ -1,9 +1,10 @@
 module Json = Tlp_util.Json_out
 module Timer = Tlp_util.Timer
 module Rng = Tlp_util.Rng
-module Bytebuf = Tlp_util.Bytebuf
 module Protocol = Tlp_server.Protocol
 module Sframe = Tlp_server.Frame
+module Conn = Tlp_server.Conn
+module Handler = Tlp_server.Handler
 module Client = Tlp_client.Client
 module Io = Tlp_graph.Instance_io
 
@@ -47,8 +48,7 @@ type shard_counters = { mutable proxied : int; mutable errors : int }
 type t = {
   config : config;
   ring : Ring.t;
-  listener : Unix.file_descr;
-  actual_port : int;
+  listener : Conn.listener;
   (* One (v1, v2) pool pair per ring member: pooled clients are
      protocol-bound, so the two framings never share a connection. *)
   pools : (Conn_pool.t * Conn_pool.t) array;
@@ -57,20 +57,10 @@ type t = {
   hedge : hedge_counters;
   per_shard : shard_counters array;
   mutable requests : int;
-  stop_flag : bool Atomic.t;
-  conn_mutex : Mutex.t;
-  conn_done : Condition.t;
-  mutable live_conns : int;
-  mutable accepter : Thread.t option;
-  mutable waited : bool;
 }
 
-let port t = t.actual_port
+let port t = Conn.port t.listener
 let ring t = t.ring
-
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* ---------- shard calls ---------- *)
 
@@ -96,7 +86,7 @@ let shard_call t ~proto ~deadline_ms ~shard payload =
     | first -> first
   in
   Conn_pool.checkin pool client;
-  locked t.stats_mutex (fun () ->
+  Mutex.protect t.stats_mutex (fun () ->
       let c = t.per_shard.(shard) in
       c.proxied <- c.proxied + 1;
       match outcome with Ok _ -> () | Error _ -> c.errors <- c.errors + 1);
@@ -148,7 +138,7 @@ let hedge_delay_s t (frame : Protocol.frame) =
   float_of_int ms /. 1000.0
 
 let record_verdict t (v : _ Hedge.verdict) =
-  locked t.stats_mutex (fun () ->
+  Mutex.protect t.stats_mutex (fun () ->
       let h = t.hedge in
       if v.Hedge.fired then begin
         h.fired <- h.fired + 1;
@@ -205,7 +195,7 @@ let health_doc t =
     ]
 
 let stats_doc t =
-  locked t.stats_mutex (fun () ->
+  Mutex.protect t.stats_mutex (fun () ->
       Json.Obj
         [
           ("role", Json.String "router");
@@ -239,222 +229,49 @@ let stats_doc t =
 
 (* ---------- connections ---------- *)
 
-type wire = Undecided | V1 | V2
+let reply conn ~id body =
+  ignore
+    (Conn.respond ~drain:true conn { Conn.resp_id = id; body } : float * float)
 
-type conn = {
-  fd : Unix.file_descr;
-  wbuf : Bytebuf.t;
-  mutable wire : wire;
-  mutable alive : bool;
-}
-
-let rec write_all fd bytes pos len =
-  if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
-  end
-
-let flush_wbuf conn =
-  try
-    if conn.alive then
-      write_all conn.fd (Bytebuf.unsafe_bytes conn.wbuf) 0
-        (Bytebuf.length conn.wbuf)
-  with Unix.Unix_error _ -> conn.alive <- false
-
-let send_raw conn s =
-  Bytebuf.clear conn.wbuf;
-  Bytebuf.add_string conn.wbuf s;
-  flush_wbuf conn
-
-(* Forward a shard's response verbatim.  The v1 raw bytes are the
-   response line without its newline; the v2 raw bytes are the frame
-   payload without its length prefix — both restored here, so the
-   client sees exactly what a direct connection would have produced. *)
-let send_proxied conn raw =
-  Bytebuf.clear conn.wbuf;
-  (match conn.wire with
-  | Undecided | V1 ->
-      Bytebuf.add_string conn.wbuf raw;
-      Bytebuf.add_char conn.wbuf '\n'
-  | V2 ->
-      Bytebuf.add_u32_be conn.wbuf (String.length raw);
-      Bytebuf.add_string conn.wbuf raw);
-  flush_wbuf conn
-
-let send_doc conn ~id doc =
-  Bytebuf.clear conn.wbuf;
-  (match conn.wire with
-  | Undecided | V1 ->
-      Bytebuf.add_string conn.wbuf
-        (Protocol.render_ok ~id ~result:(Json.to_string doc));
-      Bytebuf.add_char conn.wbuf '\n'
-  | V2 -> Sframe.encode_ok_doc conn.wbuf ~id ~doc ~trace:None);
-  flush_wbuf conn
-
-let send_error conn ~id err =
-  Bytebuf.clear conn.wbuf;
-  (match conn.wire with
-  | Undecided | V1 ->
-      Bytebuf.add_string conn.wbuf (Protocol.render_error ~id err);
-      Bytebuf.add_char conn.wbuf '\n'
-  | V2 -> Sframe.encode_error conn.wbuf ~id err);
-  flush_wbuf conn
+let doc conn ~id d = reply conn ~id (Ok (Handler.Doc d, None))
 
 (* One parsed frame, strictly sequential per connection (the hedge
-   race blocks this connection's thread, never another's). *)
+   race blocks this connection's thread, never another's).  A proxied
+   response goes back verbatim, so the client sees exactly what a
+   direct connection would have produced. *)
 let handle_parsed t conn ~proto ~raw parsed =
-  locked t.stats_mutex (fun () -> t.requests <- t.requests + 1);
+  Mutex.protect t.stats_mutex (fun () -> t.requests <- t.requests + 1);
   match parsed with
-  | Error (id, err) -> send_error conn ~id err
+  | Error (id, err) -> reply conn ~id (Error err)
   | Ok (frame : Protocol.frame) -> (
       let id = frame.Protocol.id in
       match frame.Protocol.request with
-      | Protocol.Stats -> send_doc conn ~id (stats_doc t)
-      | Protocol.Health -> send_doc conn ~id (health_doc t)
-      | Protocol.Cluster -> send_doc conn ~id (cluster_doc t)
+      | Protocol.Stats -> doc conn ~id (stats_doc t)
+      | Protocol.Health -> doc conn ~id (health_doc t)
+      | Protocol.Cluster -> doc conn ~id (cluster_doc t)
       | Protocol.Partition _ | Protocol.Sweep _ | Protocol.Verify _
       | Protocol.Sleep _ | Protocol.Open _ | Protocol.Update _
       | Protocol.Resolve _ -> (
           match proxy t ~proto ~raw frame with
-          | Ok raw -> send_proxied conn raw
-          | Error err -> send_error conn ~id err))
+          | Ok raw -> Conn.relay conn raw
+          | Error err -> reply conn ~id (Error err)))
 
-let handle_line t conn line =
-  if String.trim line <> "" then
-    handle_parsed t conn ~proto:Client.V1 ~raw:line
-      (Protocol.parse_frame line)
-
-let handle_v2_frame t conn bytes ~pos ~len =
-  (* The shard-bound copy re-carries the length prefix the read loop
-     stripped: [round_trip_frame] sends its payload verbatim. *)
-  let buf = Buffer.create (len + 4) in
-  Buffer.add_uint8 buf (len lsr 24 land 0xff);
-  Buffer.add_uint8 buf (len lsr 16 land 0xff);
-  Buffer.add_uint8 buf (len lsr 8 land 0xff);
-  Buffer.add_uint8 buf (len land 0xff);
-  Buffer.add_subbytes buf bytes pos len;
-  handle_parsed t conn ~proto:Client.V2 ~raw:(Buffer.contents buf)
-    (Sframe.decode_request bytes ~pos ~len)
-
-let connection_loop t fd =
-  let conn = { fd; wbuf = Bytebuf.create 4096; wire = Undecided; alive = true } in
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2
-   with Unix.Unix_error _ -> ());
-  let rbuf = Bytebuf.create 4096 in
-  let overflow = ref false in
-  let eof = ref false in
-  let scanned = ref 0 in
-  let frame_overflow () =
-    overflow := true;
-    send_error conn ~id:Json.Null
-      (Protocol.bad_request
-         (Printf.sprintf "frame exceeds %d bytes" t.config.max_frame_bytes))
-  in
-  let process_v1 () =
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let bytes = Bytebuf.unsafe_bytes rbuf in
-      let len = Bytebuf.length rbuf in
-      let nl = ref !scanned in
-      while !nl < len && Bytes.unsafe_get bytes !nl <> '\n' do
-        incr nl
-      done;
-      if !nl < len then begin
-        let line = Bytes.sub_string bytes 0 !nl in
-        Bytebuf.shift_left rbuf ~pos:(!nl + 1);
-        scanned := 0;
-        handle_line t conn line;
-        progress := true
-      end
-      else scanned := len
-    done;
-    if Bytebuf.length rbuf > t.config.max_frame_bytes then frame_overflow ()
-  in
-  let process_v2 () =
-    let progress = ref true in
-    while !progress && not !overflow do
-      progress := false;
-      let len = Bytebuf.length rbuf in
-      if len >= 4 then begin
-        let bytes = Bytebuf.unsafe_bytes rbuf in
-        let flen =
-          (Bytes.get_uint8 bytes 0 lsl 24)
-          lor (Bytes.get_uint8 bytes 1 lsl 16)
-          lor (Bytes.get_uint8 bytes 2 lsl 8)
-          lor Bytes.get_uint8 bytes 3
-        in
-        if flen > t.config.max_frame_bytes then frame_overflow ()
-        else if len >= 4 + flen then begin
-          handle_v2_frame t conn bytes ~pos:4 ~len:flen;
-          Bytebuf.shift_left rbuf ~pos:(4 + flen);
-          progress := true
-        end
-      end
-    done
-  in
-  let negotiate () =
-    let bytes = Bytebuf.unsafe_bytes rbuf in
-    if Bytes.get bytes 0 <> Sframe.hello_byte then conn.wire <- V1
-    else begin
-      let hlen = String.length Sframe.hello in
-      if Bytebuf.length rbuf >= hlen then
-        if Bytes.sub_string bytes 0 hlen = Sframe.hello then begin
-          conn.wire <- V2;
-          Bytebuf.shift_left rbuf ~pos:hlen;
-          send_raw conn Sframe.hello
-        end
-        else eof := true
-    end
-  in
-  while (not !eof) && (not !overflow) && not (Atomic.get t.stop_flag) do
-    Bytebuf.reserve rbuf 4096;
-    let bytes = Bytebuf.unsafe_bytes rbuf in
-    let off = Bytebuf.length rbuf in
-    match Unix.read fd bytes off (Bytes.length bytes - off) with
-    | 0 -> eof := true
-    | n ->
-        Bytebuf.unsafe_advance rbuf n;
-        if conn.wire = Undecided then negotiate ();
-        (match conn.wire with
-        | Undecided -> ()
-        | V1 -> process_v1 ()
-        | V2 -> process_v2 ())
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> eof := true
-  done;
-  if !eof && (not !overflow) && conn.wire = V1 && Bytebuf.length rbuf > 0
-  then begin
-    let line = Bytebuf.contents rbuf in
-    Bytebuf.clear rbuf;
-    handle_line t conn line
-  end;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conn_mutex;
-  t.live_conns <- t.live_conns - 1;
-  if t.live_conns = 0 then Condition.broadcast t.conn_done;
-  Mutex.unlock t.conn_mutex
-
-let accept_loop t =
-  let continue = ref true in
-  while !continue && not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listener ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.listener with
-        | fd, _ ->
-            Mutex.lock t.conn_mutex;
-            t.live_conns <- t.live_conns + 1;
-            Mutex.unlock t.conn_mutex;
-            ignore (Thread.create (fun () -> connection_loop t fd) ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> continue := false)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  try Unix.close t.listener with Unix.Unix_error _ -> ()
+(* The shard-bound copy of a v2 frame keeps its length prefix:
+   [round_trip_frame] sends its payload verbatim. *)
+let handler t conn =
+  {
+    Conn.on_v1_line =
+      (fun line ->
+        handle_parsed t conn ~proto:Client.V1 ~raw:line
+          (Protocol.parse_frame line));
+    on_v2_frame =
+      (fun bytes ~pos ~len ->
+        let raw = Bytes.sub_string bytes pos len in
+        handle_parsed t conn ~proto:Client.V2 ~raw
+          (Sframe.decode_request bytes ~pos:(pos + 4) ~len:(len - 4)));
+    on_refused = ignore;
+    on_close = ignore;
+  }
 
 (* ---------- lifecycle ---------- *)
 
@@ -463,24 +280,7 @@ let start config shards =
     Ring.create ~epoch:config.ring_epoch ~vnodes:config.vnodes
       ~seed:config.ring_seed shards
   in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port)
-  in
-  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener addr;
-     Unix.listen listener 128
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let actual_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
-  in
+  let listener = Conn.listen ~host:config.host ~port:config.port in
   let rng = Rng.create (config.seed lxor 0x726f7574) in
   let pools =
     Array.map
@@ -497,7 +297,6 @@ let start config shards =
       config;
       ring;
       listener;
-      actual_port;
       pools;
       started_at = Timer.now ();
       stats_mutex = Mutex.create ();
@@ -507,46 +306,23 @@ let start config shards =
       per_shard =
         Array.map (fun _ -> { proxied = 0; errors = 0 }) shards;
       requests = 0;
-      stop_flag = Atomic.make false;
-      conn_mutex = Mutex.create ();
-      conn_done = Condition.create ();
-      live_conns = 0;
-      accepter = None;
-      waited = false;
     }
   in
-  t.accepter <- Some (Thread.create (fun () -> accept_loop t) ());
+  Conn.serve listener ~max_frame_bytes:config.max_frame_bytes
+    ~finally:ignore (handler t);
   t
 
-let stop t = Atomic.set t.stop_flag true
+let stop t = Conn.stop t.listener
 
 let wait t =
-  let already =
-    Mutex.lock t.conn_mutex;
-    let w = t.waited in
-    t.waited <- true;
-    Mutex.unlock t.conn_mutex;
-    w
-  in
-  if not already then begin
-    (match t.accepter with Some th -> Thread.join th | None -> ());
-    Mutex.lock t.conn_mutex;
-    while t.live_conns > 0 do
-      Condition.wait t.conn_done t.conn_mutex
-    done;
-    Mutex.unlock t.conn_mutex;
-    Array.iter
-      (fun (a, b) ->
-        Conn_pool.drain a;
-        Conn_pool.drain b)
-      t.pools
-  end
+  Conn.wait t.listener ~closed:(fun () ->
+      Array.iter
+        (fun (a, b) ->
+          Conn_pool.drain a;
+          Conn_pool.drain b)
+        t.pools)
 
 let run config shards =
   let t = start config shards in
-  let on_signal _ = stop t in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-   with Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-   with Invalid_argument _ -> ());
+  Conn.stop_on_signals t.listener;
   t

@@ -2,9 +2,10 @@
     shared-nothing [tlp_serve] shards, speaking both [tlp.rpc/v1] and
     [/v2] framings.
 
-    Each accepted connection negotiates its framing exactly like a
-    shard (first byte [0xf2] opens the v2 hello) and is served
-    strictly sequentially: the router parses each request just enough
+    Connections are served by the shard's own connection core
+    ({!Tlp_server.Conn}): framing is negotiated exactly like a shard's
+    (first byte [0xf2] opens the v2 hello), and replies get the same
+    flow control.  Each connection is served strictly sequentially: the router parses each request just enough
     to pick a shard — {!Tlp_route.Ring.shard_of} on the request's
     instance digest — then forwards the {e raw request bytes} over a
     pooled {!Tlp_client.Client} and relays the shard's raw response

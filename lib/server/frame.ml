@@ -1,4 +1,6 @@
-(* Binary framing for [tlp.rpc/v2] — the server-side codec.
+(* Binary framing for [tlp.rpc/v2] — the one codec: the server decodes
+   requests and encodes responses here, and the client
+   ([Tlp_client.Frame]) encodes requests and decodes responses here.
 
    A v2 connection opens with the 5-byte hello ["\xf2TLP2"]; 0xf2 can
    never begin a v1 JSON line, so the first byte of a connection picks
@@ -206,17 +208,18 @@ let positive name i =
   if i <= 0 then reject "field %S must be positive, got %d" name i;
   i
 
+let read_partition_algorithm r =
+  match R.u8 r with
+  | 1 -> Protocol.Bandwidth
+  | 2 -> Protocol.Bottleneck
+  | 3 -> Protocol.Procmin
+  | 4 -> Protocol.Pipeline
+  | tag -> reject "bad partition algorithm tag %d" tag
+
 let read_request_body r meth_tag =
   match meth_tag with
   | 1 ->
-      let algorithm =
-        match R.u8 r with
-        | 1 -> Protocol.Bandwidth
-        | 2 -> Protocol.Bottleneck
-        | 3 -> Protocol.Procmin
-        | 4 -> Protocol.Pipeline
-        | tag -> reject "bad partition algorithm tag %d" tag
-      in
+      let algorithm = read_partition_algorithm r in
       let k = positive "k" (R.varint r) in
       let instance = read_instance r in
       Protocol.Partition { instance; k; algorithm }
@@ -281,14 +284,7 @@ let read_request_body r meth_tag =
       done;
       Protocol.Update { session; deltas = List.rev !deltas }
   | 10 ->
-      let algorithm =
-        match R.u8 r with
-        | 1 -> Protocol.Bandwidth
-        | 2 -> Protocol.Bottleneck
-        | 3 -> Protocol.Procmin
-        | 4 -> Protocol.Pipeline
-        | tag -> reject "bad partition algorithm tag %d" tag
-      in
+      let algorithm = read_partition_algorithm r in
       let k = positive "k" (R.varint r) in
       let session = R.bytes r (R.varint r) in
       Protocol.Resolve { session; k; algorithm }
@@ -362,3 +358,48 @@ let[@tlp.hot] encode_error buf ~id (err : Protocol.error) =
   Bytebuf.add_varint buf (String.length err.Protocol.message);
   Bytebuf.add_string buf err.Protocol.message;
   finish_frame buf p
+
+type reply = {
+  id : Json.t;
+  body : (Json.t * Json.t option, Protocol.error) result;
+}
+
+let error_code_of_tag = function
+  | 1 -> Protocol.Bad_request
+  | 2 -> Protocol.Overloaded
+  | 3 -> Protocol.Timeout
+  | 4 -> Protocol.Internal
+  | 5 -> Protocol.Unavailable
+  | tag -> reject "bad error code tag %d" tag
+
+let decode_response payload =
+  let r =
+    R.make (Bytes.unsafe_of_string payload) ~pos:0
+      ~limit:(String.length payload)
+  in
+  let value what =
+    match Binval.read r with
+    | Ok v -> v
+    | Error msg -> reject "bad %s value: %s" what msg
+  in
+  match
+    let status = R.u8 r in
+    let id = read_id r in
+    let body =
+      if status = status_error then begin
+        let code = error_code_of_tag (R.u8 r) in
+        let message = R.bytes r (R.varint r) in
+        Error { Protocol.code; message }
+      end
+      else if status = status_ok then Ok (value "result", None)
+      else if status = status_ok_traced then
+        let result = value "result" in
+        Ok (result, Some (value "trace"))
+      else reject "bad status byte %d" status
+    in
+    if R.remaining r <> 0 then reject "trailing bytes after response payload";
+    { id; body }
+  with
+  | reply -> Ok reply
+  | exception Reject err -> Error err.Protocol.message
+  | exception R.Short -> Error "truncated response frame"

@@ -1,12 +1,12 @@
-(** Server-side codec for the [tlp.rpc/v2] binary framing.
+(** The codec for the [tlp.rpc/v2] binary framing, both directions.
 
     A v2 connection opens with the 5-byte {!hello}; the server echoes
     it, then both directions carry 4-byte big-endian length-prefixed
     frames (PROTOCOL.md §7). Request decoding mirrors
     [Protocol.parse_frame]'s validation — same bounds, same error
     messages for every rule both framings can express — which is what
-    makes the v1/v2 differential test meaningful. The client-side
-    counterpart is [Tlp_client.Frame]. *)
+    makes the v1/v2 differential test meaningful.  It is the only v2
+    codec: [Tlp_client.Frame] is a thin adapter over it. *)
 
 val schema : string
 (** ["tlp.rpc/v2"]. *)
@@ -22,9 +22,10 @@ val hello_byte : char
 (** {1 Requests} *)
 
 val encode_request : Tlp_util.Bytebuf.t -> Protocol.frame -> unit
-(** Append one length-prefixed request frame. Used by the
-    [tlp_serve call --proto v2] bridge and the differential tests;
-    raises [Invalid_argument] on an id that is not null/int/string. *)
+(** Append one length-prefixed request frame.  Raises
+    [Invalid_argument] on what the layout cannot carry: an id that is
+    not null/int/string, a negative count or index, or a signed value
+    outside the zigzag domain. *)
 
 val decode_request :
   Bytes.t ->
@@ -66,3 +67,16 @@ val encode_ok_doc :
 
 val encode_error :
   Tlp_util.Bytebuf.t -> id:Tlp_util.Json_out.t -> Protocol.error -> unit
+
+(** One decoded response. *)
+type reply = {
+  id : Tlp_util.Json_out.t;
+  body :
+    (Tlp_util.Json_out.t * Tlp_util.Json_out.t option, Protocol.error) result;
+      (** [Ok (result, trace)] or the typed error, any of the five codes *)
+}
+
+val decode_response : string -> (reply, string) result
+(** Decode one response payload (the bytes {e after} the 4-byte length
+    prefix).  Bounds-checked throughout: truncated or corrupt payloads
+    are [Error], never an exception. *)

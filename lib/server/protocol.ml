@@ -204,7 +204,7 @@ let parse_deltas params =
       deltas
   | _ -> reject "field \"deltas\" must be an array"
 
-let parse_request meth params =
+let parse_method meth params =
   match meth with
   | "partition" ->
       let instance = parse_instance (require "instance" params) in
@@ -268,57 +268,59 @@ let parse_request meth params =
          open | update | resolve)"
         other
 
+let parse_request doc =
+  (* Recover the id first so even rejected frames get correlated
+     error responses. *)
+  let id =
+    match doc with
+    | Json.Obj fields -> (
+        match field "id" fields with
+        | Some ((Json.String _ | Json.Int _ | Json.Null) as id) -> id
+        | Some _ | None -> Json.Null)
+    | _ -> Json.Null
+  in
+  match
+    let fields = obj_fields doc in
+    (match field "id" fields with
+    | None | Some (Json.String _ | Json.Int _ | Json.Null) -> ()
+    | Some _ -> reject "field \"id\" must be a string, integer or null");
+    let meth = as_string "method" (require "method" fields) in
+    let params =
+      match field "params" fields with
+      | None -> []
+      | Some (Json.Obj params) -> params
+      | Some _ -> reject "field \"params\" must be an object"
+    in
+    let timeout_ms =
+      (* 0 is legal: a client whose remaining budget rounds down to
+         0 ms gets a structured [timeout], not a parse error. *)
+      match field "timeout_ms" fields with
+      | None -> None
+      | Some v -> Some (non_negative "timeout_ms" (as_int "timeout_ms" v))
+    in
+    let priority =
+      match field "priority" fields with
+      | None -> Interactive
+      | Some (Json.String "interactive") -> Interactive
+      | Some (Json.String "batch") -> Batch
+      | Some _ ->
+          reject "field \"priority\" must be \"interactive\" or \"batch\""
+    in
+    let trace =
+      match field "trace" fields with
+      | None -> false
+      | Some (Json.Bool b) -> b
+      | Some _ -> reject "field \"trace\" must be a boolean"
+    in
+    { id; request = parse_method meth params; timeout_ms; priority; trace }
+  with
+  | frame -> Ok frame
+  | exception Reject err -> Error (id, err)
+
 let parse_frame line =
   match Json.parse line with
   | Error msg -> Error (Json.Null, bad_request ("malformed JSON frame: " ^ msg))
-  | Ok doc -> (
-      (* Recover the id first so even rejected frames get correlated
-         error responses. *)
-      let id =
-        match doc with
-        | Json.Obj fields -> (
-            match field "id" fields with
-            | Some ((Json.String _ | Json.Int _ | Json.Null) as id) -> id
-            | Some _ | None -> Json.Null)
-        | _ -> Json.Null
-      in
-      match
-        let fields = obj_fields doc in
-        (match field "id" fields with
-        | None | Some (Json.String _ | Json.Int _ | Json.Null) -> ()
-        | Some _ -> reject "field \"id\" must be a string, integer or null");
-        let meth = as_string "method" (require "method" fields) in
-        let params =
-          match field "params" fields with
-          | None -> []
-          | Some (Json.Obj params) -> params
-          | Some _ -> reject "field \"params\" must be an object"
-        in
-        let timeout_ms =
-          (* 0 is legal: a client whose remaining budget rounds down to
-             0 ms gets a structured [timeout], not a parse error. *)
-          match field "timeout_ms" fields with
-          | None -> None
-          | Some v -> Some (non_negative "timeout_ms" (as_int "timeout_ms" v))
-        in
-        let priority =
-          match field "priority" fields with
-          | None -> Interactive
-          | Some (Json.String "interactive") -> Interactive
-          | Some (Json.String "batch") -> Batch
-          | Some _ ->
-              reject "field \"priority\" must be \"interactive\" or \"batch\""
-        in
-        let trace =
-          match field "trace" fields with
-          | None -> false
-          | Some (Json.Bool b) -> b
-          | Some _ -> reject "field \"trace\" must be a boolean"
-        in
-        { id; request = parse_request meth params; timeout_ms; priority; trace }
-      with
-      | frame -> Ok frame
-      | exception Reject err -> Error (id, err))
+  | Ok doc -> parse_request doc
 
 (* ---------- instances ---------- *)
 

@@ -116,11 +116,19 @@ val max_verify_rounds : int
 val max_sleep_ms : int
 (** Upper bound on [sleep]'s [ms] (60000); same sharing rationale. *)
 
+val parse_request :
+  Tlp_util.Json_out.t -> (frame, Tlp_util.Json_out.t * error) result
+(** Validate one request document (a parsed v1 line).  On error,
+    returns the request [id] when it could be recovered from the
+    malformed frame ([Null] otherwise) so the error response can still
+    be correlated.  The v2 client encoder runs its arguments through
+    this same function, so both framings accept and refuse the same
+    requests with the same messages. *)
+
 val parse_frame :
   string -> (frame, Tlp_util.Json_out.t * error) result
-(** Parse one request line.  On error, returns the request [id] when it
-    could be recovered from the malformed frame ([Null] otherwise) so
-    the error response can still be correlated. *)
+(** Parse one request line: {!parse_request} of its JSON, or a
+    [bad_request] for text that is not JSON. *)
 
 (** {1 Instances} *)
 

@@ -30,17 +30,6 @@ let default_config =
     session_ttl_s = Tlp_session.Session.default_ttl_s;
   }
 
-(* A fully-formed response, rendered by the reply writer for whichever
-   protocol the connection negotiated: the v1 path splices [Rendered]
-   entries' JSON text into a newline-terminated envelope, the v2 path
-   splices their Binval bytes into a length-prefixed frame — both out
-   of the same handler outcome. *)
-type response = {
-  resp_id : Json.t;
-  body : (Handler.payload * Json.t option, Protocol.error) result;
-      (* Ok (payload, trace) | Error err *)
-}
-
 (* A job is an admitted frame plus everything needed to answer it from a
    worker domain: the absolute deadline, the cache key its connection
    thread looked up and missed, the connection's serialized reply writer
@@ -50,7 +39,7 @@ type job = {
   frame : Protocol.frame;
   deadline : float option;
   key : Cache.key option;
-  reply : response -> float * float;
+  reply : Conn.response -> float * float;
   rng : Tlp_util.Rng.t;
   request_id : int;
   t_accept : float;  (* read off the socket, before parsing *)
@@ -59,27 +48,23 @@ type job = {
 
 type t = {
   config : config;
-  listener : Unix.file_descr;
-  actual_port : int;
+  listener : Conn.listener;
   server_state : State.t;
   queue : job Admission.t;
-  stop_flag : bool Atomic.t;
-  conn_mutex : Mutex.t;
-  conn_done : Condition.t;
-  mutable live_conns : int;
-  mutable accepter : Thread.t option;
   mutable workers : unit Domain.t list;
-  mutable waited : bool;
 }
 
-let port t = t.actual_port
+let port t = Conn.port t.listener
 let state t = t.server_state
 
-let send_error t ~reply ~id err =
+let record_error t err =
   State.with_lock t.server_state (fun () ->
       State.record_error t.server_state
-        ~code:(Protocol.error_code_string err.Protocol.code));
-  ignore (reply { resp_id = id; body = Error err } : float * float)
+        ~code:(Protocol.error_code_string err.Protocol.code))
+
+let send_error t ~reply ~id err =
+  record_error t err;
+  ignore (reply { Conn.resp_id = id; body = Error err } : float * float)
 
 (* ---------- tracing ---------- *)
 
@@ -157,7 +142,9 @@ let finish t job ~t_dispatch ~executed outcome =
       ]
   in
   let body = Result.map (fun p -> (p, Option.map trace entry)) outcome in
-  let t_rendered, t_written = job.reply { resp_id = frame.Protocol.id; body } in
+  let t_rendered, t_written =
+    job.reply { Conn.resp_id = frame.Protocol.id; body }
+  in
   Option.iter
     (fun (e : State.trace_entry) ->
       State.with_lock t.server_state (fun () ->
@@ -169,7 +156,7 @@ let finish t job ~t_dispatch ~executed outcome =
 (* ---------- worker domains ---------- *)
 
 let cluster_doc t =
-  Handler.solo_cluster_doc ~host:t.config.host ~port:t.actual_port
+  Handler.solo_cluster_doc ~host:t.config.host ~port:(port t)
 
 (* The body of each of the [jobs] worker domains: the domain that pops
    a job checks its deadline, solves it and writes the reply itself —
@@ -217,143 +204,39 @@ let control_plane (request : Protocol.request) =
   | Protocol.Resolve _ ->
       false
 
-(* The framing a connection speaks, decided by its first byte: 0xf2
-   (which can never begin a JSON document) opens the v2 hello, anything
-   else is a v1 JSON line already in flight. *)
-type wire = Undecided | V1 | V2
-
-type conn = {
-  fd : Unix.file_descr;
-  write_mutex : Mutex.t;
+type client = {
+  conn : Conn.conn;
+  dbuf : Bytebuf.t;  (* instance-digest text; connection thread only *)
   inflight_mutex : Mutex.t;
   inflight_done : Condition.t;
-  wbuf : Bytebuf.t;
-      (* pooled write buffer, guarded by [write_mutex]; grown to the
-         connection's working set once, then reused per response *)
-  dbuf : Bytebuf.t;  (* instance-digest text; connection thread only *)
-  rbuf : Bytebuf.t;
-      (* pooled read buffer: the socket reads straight into its backing
-         store and the frame scans walk it in place; only the connection
-         thread touches it *)
-  drain_cap : int;  (* read-ahead bound while a reply waits to be sent *)
-  mutable wire : wire;
   mutable inflight : int;  (* admitted jobs not yet replied to *)
-  mutable alive : bool;  (* peer still reachable for writes *)
 }
 
-(* A socket timeout tick or an interrupted call: nothing is wrong. *)
-let transient = function
-  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true
-  | _ -> false
+let add_inflight c d =
+  Mutex.lock c.inflight_mutex;
+  c.inflight <- c.inflight + d;
+  if c.inflight = 0 then Condition.broadcast c.inflight_done;
+  Mutex.unlock c.inflight_mutex
 
-(* Append what the socket holds to [rbuf]; 0 at end of input. *)
-let read_some conn =
-  Bytebuf.reserve conn.rbuf 4096;
-  let bytes = Bytebuf.unsafe_bytes conn.rbuf in
-  let off = Bytebuf.length conn.rbuf in
-  let n = Unix.read conn.fd bytes off (Bytes.length bytes - off) in
-  Bytebuf.unsafe_advance conn.rbuf n;
-  n
-
-(* Read the client's pending input into [rbuf], up to [drain_cap]. *)
-let rec read_ahead conn =
-  if Bytebuf.length conn.rbuf < conn.drain_cap then
-    match read_some conn with
-    | n when n > 0 && Bytebuf.length conn.rbuf = Bytebuf.capacity conn.rbuf
-      ->
-        read_ahead conn (* filled the buffer: more may be waiting *)
-    | _ | (exception Unix.Unix_error (_, _, _)) -> ()
-
-(* Module-level recursion keeps the short-write retry loop free of the
-   per-call ref the old [while] needed.  A send-timeout tick with
-   nothing sent means the client is not reading.  A worker domain just
-   retries.  The connection thread ([drain]) is also the connection's
-   only reader, and it writes its own replies (control plane, refusals,
-   cache hits): if it only retried, a client that pipelines requests
-   and reads no reply until all are sent would wait on it while it
-   waits on the client.  So it first reads that pending input into
-   [rbuf], to be served after this reply. *)
-let rec write_all conn ~drain bytes pos len =
-  if len > 0 then
-    match Unix.single_write conn.fd bytes pos len with
-    | n -> write_all conn ~drain bytes (pos + n) (len - n)
-    | exception Unix.Unix_error (e, _, _) when transient e ->
-        if drain then read_ahead conn;
-        write_all conn ~drain bytes pos len
-
-(* Write [wbuf] to the socket. Caller holds [write_mutex]. *)
-let flush_wbuf ~drain conn =
-  try
-    if conn.alive then
-      write_all conn ~drain (Bytebuf.unsafe_bytes conn.wbuf) 0
-        (Bytebuf.length conn.wbuf)
-  with Unix.Unix_error _ -> conn.alive <- false
-
-let conn_send_raw conn s =
-  Mutex.lock conn.write_mutex;
-  Bytebuf.clear conn.wbuf;
-  Bytebuf.add_string conn.wbuf s;
-  flush_wbuf ~drain:false conn;
-  Mutex.unlock conn.write_mutex
-
-(* Render one response into the pooled write buffer for the
-   connection's protocol and write it. Returns the (render-done,
-   write-done) timestamps for the trace spans. The v1 rendering is
-   byte-for-byte the pre-v2 server's ([render_ok]/[render_error] plus
-   newline); the v2 rendering splices the same payload into a
-   length-prefixed binary frame. *)
-let[@tlp.hot] conn_respond ~drain conn response =
-  Mutex.lock conn.write_mutex;
-  let buf = conn.wbuf in
-  Bytebuf.clear buf;
-  let id = response.resp_id in
-  (match conn.wire with
-  | Undecided | V1 ->
-      (match response.body with
-      | Ok (payload, trace) ->
-          let result =
-            match payload with
-            | Handler.Rendered entry -> entry.Cache.v1
-            | Handler.Doc doc -> Json.to_string doc
-          in
-          Bytebuf.add_string buf
-            (match trace with
-            | Some trace -> Protocol.render_ok_traced ~id ~result ~trace
-            | None -> Protocol.render_ok ~id ~result)
-      | Error err -> Bytebuf.add_string buf (Protocol.render_error ~id err));
-      Bytebuf.add_char buf '\n'
-  | V2 -> (
-      match response.body with
-      | Ok (payload, trace) -> (
-          match payload with
-          | Handler.Rendered entry ->
-              Frame.encode_ok buf ~id ~result:entry.Cache.v2 ~trace
-          | Handler.Doc doc -> Frame.encode_ok_doc buf ~id ~doc ~trace)
-      | Error err -> Frame.encode_error buf ~id err));
-  let t_rendered = Timer.now () in
-  flush_wbuf ~drain conn;
-  let t_written = Timer.now () in
-  Mutex.unlock conn.write_mutex;
-  (t_rendered, t_written)
-
-let add_inflight conn d =
-  Mutex.lock conn.inflight_mutex;
-  conn.inflight <- conn.inflight + d;
-  if conn.inflight = 0 then Condition.broadcast conn.inflight_done;
-  Mutex.unlock conn.inflight_mutex
-
-let job_reply conn response =
-  let stamps = conn_respond ~drain:false conn response in
-  add_inflight conn (-1);
+let job_reply c response =
+  let stamps = Conn.respond ~drain:false c.conn response in
+  add_inflight c (-1);
   stamps
+
+let drain_inflight c =
+  Mutex.lock c.inflight_mutex;
+  while c.inflight > 0 do
+    Condition.wait c.inflight_done c.inflight_mutex
+  done;
+  Mutex.unlock c.inflight_mutex
 
 (* Admission of one parsed frame — shared by both framings; only the
    parse/decode step and the reply rendering differ per protocol.
    Control-plane methods and cache hits are answered right here on the
    connection thread; only misses and uncacheable solver work cross to
    a worker domain. *)
-let handle_parsed t conn ~t_accept parsed =
-  let reply = conn_respond ~drain:true conn in
+let handle_parsed t c ~t_accept parsed =
+  let reply = Conn.respond ~drain:true c.conn in
   match parsed with
   | Error (id, err) -> send_error t ~reply ~id err
   | Ok frame ->
@@ -385,7 +268,7 @@ let handle_parsed t conn ~t_accept parsed =
               ~queue_depth:(fun () -> Admission.length t.queue)
               ~cluster:(cluster_doc t) ~debug:t.config.enable_debug ~rng
               ~metrics:(Metrics.create ()) ~key:None request)
-      else if Atomic.get t.stop_flag then
+      else if Conn.stopping t.listener then
         refuse (Protocol.overloaded "server is draining")
       else begin
         let now = Timer.now () in
@@ -417,7 +300,7 @@ let handle_parsed t conn ~t_accept parsed =
         | Some d when d <= now ->
             refuse (Protocol.timeout "deadline already expired on arrival")
         | _ -> (
-            let key = Handler.cache_key ~scratch:conn.dbuf request in
+            let key = Handler.cache_key ~scratch:c.dbuf request in
             match Option.bind key (Handler.lookup t.server_state) with
             | Some entry -> inline (fun _ -> Ok (Handler.Rendered entry))
             | None when doomed () ->
@@ -425,8 +308,8 @@ let handle_parsed t conn ~t_accept parsed =
                     State.record_shed t.server_state);
                 refuse (Protocol.overloaded "deadline unmeetable at current load")
             | None ->
-                let job = job ~deadline ~key ~reply:(job_reply conn) in
-                add_inflight conn 1;
+                let job = job ~deadline ~key ~reply:(job_reply c) in
+                add_inflight c 1;
                 if
                   not
                     (Admission.try_push t.queue
@@ -434,7 +317,7 @@ let handle_parsed t conn ~t_accept parsed =
                 then begin
                   (* Undo the optimistic inflight count: the error reply
                      below goes through [reply], not job_reply. *)
-                  add_inflight conn (-1);
+                  add_inflight c (-1);
                   refuse
                     (Protocol.overloaded
                        (if Admission.closed t.queue then "server is draining"
@@ -442,248 +325,65 @@ let handle_parsed t conn ~t_accept parsed =
                 end)
       end
 
-let handle_line t conn line =
-  if String.trim line <> "" then begin
-    let t_accept = Timer.now () in
-    handle_parsed t conn ~t_accept (Protocol.parse_frame line)
-  end
-
-let handle_v2_frame t conn buf ~pos ~len =
-  let t_accept = Timer.now () in
-  handle_parsed t conn ~t_accept (Frame.decode_request buf ~pos ~len)
-
-let drain_inflight conn =
-  Mutex.lock conn.inflight_mutex;
-  while conn.inflight > 0 do
-    Condition.wait conn.inflight_done conn.inflight_mutex
-  done;
-  Mutex.unlock conn.inflight_mutex
-
-let connection_loop t fd =
-  let conn =
+(* The connection core's callbacks for one client. *)
+let handler t conn =
+  let c =
     {
-      fd;
-      write_mutex = Mutex.create ();
+      conn;
+      dbuf = Bytebuf.create 4096;
       inflight_mutex = Mutex.create ();
       inflight_done = Condition.create ();
-      wbuf = Bytebuf.create 4096;
-      dbuf = Bytebuf.create 4096;
-      rbuf = Bytebuf.create 4096;
-      drain_cap = t.config.max_frame_bytes;
-      wire = Undecided;
       inflight = 0;
-      alive = true;
     }
   in
-  (* A short receive timeout turns blocking reads into periodic stop
-     checks, so idle connections cannot stall the drain. *)
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2
-   with Unix.Unix_error _ -> ());
-  (* A send timeout lets the connection thread read ahead while a reply
-     waits for room (see [write_all]). *)
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.02
-   with Unix.Unix_error _ -> ());
-  let rbuf = conn.rbuf in
-  let overflow = ref false in
-  let eof = ref false in
-  (* v1: offset the newline scan already covered, so re-scans after a
-     partial read don't retraverse the prefix. *)
-  let scanned = ref 0 in
-  let frame_overflow () =
-    overflow := true;
-    send_error t ~reply:(conn_respond ~drain:true conn) ~id:Json.Null
-      (Protocol.bad_request
-         (Printf.sprintf "frame exceeds %d bytes" t.config.max_frame_bytes))
-  in
-  (* Serve every complete v1 line in [rbuf]; keep the partial tail.
-     The scan is bounded by the logical length — the backing store can
-     hold stale bytes past it, so [Bytes.index_from] would be wrong. *)
-  let process_v1 () =
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let bytes = Bytebuf.unsafe_bytes rbuf in
-      let len = Bytebuf.length rbuf in
-      let nl = ref !scanned in
-      while !nl < len && Bytes.unsafe_get bytes !nl <> '\n' do
-        incr nl
-      done;
-      if !nl < len then begin
-        let line = Bytes.sub_string bytes 0 !nl in
-        Bytebuf.shift_left rbuf ~pos:(!nl + 1);
-        scanned := 0;
-        handle_line t conn line;
-        progress := true
-      end
-      else scanned := len
-    done;
-    if Bytebuf.length rbuf > t.config.max_frame_bytes then frame_overflow ()
-  in
-  (* Serve every complete length-prefixed v2 frame in [rbuf]. *)
-  let process_v2 () =
-    let progress = ref true in
-    while !progress && not !overflow do
-      progress := false;
-      let len = Bytebuf.length rbuf in
-      if len >= 4 then begin
-        let bytes = Bytebuf.unsafe_bytes rbuf in
-        let flen =
-          (Bytes.get_uint8 bytes 0 lsl 24)
-          lor (Bytes.get_uint8 bytes 1 lsl 16)
-          lor (Bytes.get_uint8 bytes 2 lsl 8)
-          lor Bytes.get_uint8 bytes 3
-        in
-        if flen > t.config.max_frame_bytes then frame_overflow ()
-        else if len >= 4 + flen then begin
-          handle_v2_frame t conn bytes ~pos:4 ~len:flen;
-          Bytebuf.shift_left rbuf ~pos:(4 + flen);
-          progress := true
-        end
-      end
-    done
-  in
-  (* First byte decides the framing: 0xf2 opens the v2 hello (echoed
-     back once complete; a mismatch after 0xf2 is a clean close),
-     anything else is a v1 JSON line already in flight. *)
-  let negotiate () =
-    let bytes = Bytebuf.unsafe_bytes rbuf in
-    if Bytes.get bytes 0 <> Frame.hello_byte then conn.wire <- V1
-    else begin
-      let hlen = String.length Frame.hello in
-      if Bytebuf.length rbuf >= hlen then
-        if Bytes.sub_string bytes 0 hlen = Frame.hello then begin
-          conn.wire <- V2;
-          Bytebuf.shift_left rbuf ~pos:hlen;
-          conn_send_raw conn Frame.hello
-        end
-        else eof := true
-    end
-  in
-  while (not !eof) && (not !overflow) && not (Atomic.get t.stop_flag) do
-    (match read_some conn with
-    | 0 -> eof := true
-    | _ ->
-        if conn.wire = Undecided then negotiate ();
-        (match conn.wire with
-        | Undecided -> () (* partial hello: wait for the rest *)
-        | V1 -> process_v1 ()
-        | V2 -> process_v2 ())
-    | exception Unix.Unix_error (e, _, _) when transient e ->
-        () (* receive-timeout tick: recheck the stop flag *)
-    | exception Unix.Unix_error _ -> eof := true)
-  done;
-  (* A final unterminated v1 line at EOF is still served (netcat -q0
-     style clients close without a trailing newline); a partial v2
-     frame or hello is dropped — binary framing is explicit. *)
-  if !eof && (not !overflow) && conn.wire = V1 && Bytebuf.length rbuf > 0
-  then begin
-    let line = Bytebuf.contents rbuf in
-    Bytebuf.clear rbuf;
-    handle_line t conn line
-  end;
-  (* Answer everything this connection admitted before hanging up. *)
-  drain_inflight conn;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conn_mutex;
-  t.live_conns <- t.live_conns - 1;
-  if t.live_conns = 0 then Condition.broadcast t.conn_done;
-  Mutex.unlock t.conn_mutex
-
-(* ---------- accept loop ---------- *)
-
-let accept_loop t =
-  let continue = ref true in
-  while !continue && not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listener ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.listener with
-        | fd, _ ->
-            Mutex.lock t.conn_mutex;
-            t.live_conns <- t.live_conns + 1;
-            Mutex.unlock t.conn_mutex;
-            ignore (Thread.create (fun () -> connection_loop t fd) ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> continue := false)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (* No new connections, so no new pushes after the queue drains;
-     closing here starts the worker drain. *)
-  Admission.close t.queue
+  {
+    Conn.on_v1_line =
+      (fun line ->
+        let t_accept = Timer.now () in
+        handle_parsed t c ~t_accept (Protocol.parse_frame line));
+    on_v2_frame =
+      (fun bytes ~pos ~len ->
+        let t_accept = Timer.now () in
+        handle_parsed t c ~t_accept
+          (Frame.decode_request bytes ~pos:(pos + 4) ~len:(len - 4)));
+    on_refused = record_error t;
+    (* Answer everything this connection admitted before hanging up. *)
+    on_close = (fun () -> drain_inflight c);
+  }
 
 (* ---------- lifecycle ---------- *)
 
 let start config =
   let jobs = Stdlib.max 1 config.jobs in
-  (* A client hanging up mid-response must not kill the daemon. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port)
-  in
-  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener addr;
-     Unix.listen listener 128
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let actual_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
-  in
+  let listener = Conn.listen ~host:config.host ~port:config.port in
   let t =
     {
       config = { config with jobs };
       listener;
-      actual_port;
       server_state =
         State.create ~cache_capacity:config.cache_capacity
           ~queue_capacity:config.queue_capacity ~seed:config.seed
           ~session_ttl_s:config.session_ttl_s ();
       queue = Admission.create ~capacity:config.queue_capacity ();
-      stop_flag = Atomic.make false;
-      conn_mutex = Mutex.create ();
-      conn_done = Condition.create ();
-      live_conns = 0;
-      accepter = None;
       workers = [];
-      waited = false;
     }
   in
   t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t.accepter <- Some (Thread.create (fun () -> accept_loop t) ());
+  (* No new connections once the accept loop returns, so no new pushes
+     after the queue drains: closing it there starts the worker drain. *)
+  Conn.serve listener ~max_frame_bytes:config.max_frame_bytes
+    ~finally:(fun () -> Admission.close t.queue)
+    (handler t);
   t
 
-let stop t = Atomic.set t.stop_flag true
+let stop t = Conn.stop t.listener
 
+(* The accept loop closed the queue on its way out; worker domains
+   drain every admitted job, answer it, and exit. *)
 let wait t =
-  let already =
-    Mutex.lock t.conn_mutex;
-    let w = t.waited in
-    t.waited <- true;
-    Mutex.unlock t.conn_mutex;
-    w
-  in
-  if not already then begin
-    (match t.accepter with Some th -> Thread.join th | None -> ());
-    (* Accept loop closed the queue on its way out; worker domains drain
-       every admitted job, answer it, and exit. *)
-    List.iter Domain.join t.workers;
-    Mutex.lock t.conn_mutex;
-    while t.live_conns > 0 do
-      Condition.wait t.conn_done t.conn_mutex
-    done;
-    Mutex.unlock t.conn_mutex
-  end
+  Conn.wait t.listener ~joined:(fun () -> List.iter Domain.join t.workers)
 
 let run config =
   let t = start config in
-  let on_signal _ = stop t in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-   with Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-   with Invalid_argument _ -> ());
+  Conn.stop_on_signals t.listener;
   t

@@ -3,13 +3,14 @@
 
     Threading model (see DESIGN.md §7 for the dataflow):
 
-    - one {e accept} thread multiplexes the listener with a short
-      [select] tick so a stop request is noticed promptly;
-    - one lightweight {e connection} thread per client reads frames,
-      answers the control-plane methods, all protocol errors and every
-      result-cache hit inline, and pushes the rest (a miss with its
-      cache key) onto the admission queue — a full queue is answered
-      immediately with [overloaded], never queued, never blocked on;
+    - the {!Conn} core's {e accept} thread multiplexes the listener
+      with a short [select] tick so a stop request is noticed promptly;
+    - one lightweight {!Conn} {e connection} thread per client reads
+      frames and hands them to this module, which answers the
+      control-plane methods, all protocol errors and every result-cache
+      hit inline, and pushes the rest (a miss with its cache key) onto
+      the admission queue — a full queue is answered immediately with
+      [overloaded], never queued, never blocked on;
     - [jobs] {e worker} domains pop admitted jobs, enforce the deadline
       (a job whose deadline passed while queued is answered [timeout]
       without being solved), execute the handler and write the reply

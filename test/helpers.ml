@@ -47,3 +47,69 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let cut_testable = Alcotest.(list int)
+
+(* A client that sends all its pipelined requests before reading any
+   reply must still get every answer, from the daemon listening on
+   [port]: 50 sweeps of one n=20000 chain, padded with JSON whitespace
+   to about 8 MB in all, whose replies (about 45 MB) far exceed the
+   socket buffers.  [prime] sends one request line on its own
+   connection and returns the reply line; every pipelined reply must
+   replay those bytes.  After 30 s with requests still unsent the test
+   fails, unblocking both sides first so the daemon can drain. *)
+let check_pipelined_sweeps ~port ~prime =
+  let module Io = Tlp_graph.Instance_io in
+  let chain =
+    Tlp_graph.Chain_gen.figure2 (Rng.create 7) ~n:20_000 ~max_weight:20
+  in
+  let line =
+    Printf.sprintf
+      {|{"id":1,%s"method":"sweep","params":{"instance":%s,"k_values":[%s]}}|}
+      (String.make 60_000 ' ')
+      (Tlp_util.Json_out.to_string
+         (Tlp_util.Json_out.String (Io.to_string (Io.Chain_instance chain))))
+      (String.concat "," (List.init 64 (fun i -> string_of_int (40 + (3 * i)))))
+  in
+  let primed = prime line in
+  let repeats = 50 in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+  let sent = Atomic.make false in
+  let writer =
+    Thread.create
+      (fun () ->
+        let bytes =
+          Bytes.of_string
+            (String.concat "" (List.init repeats (fun _ -> line ^ "\n")))
+        in
+        let n = Bytes.length bytes in
+        let written = ref 0 in
+        try
+          while !written < n do
+            written := !written + Unix.write fd bytes !written (n - !written)
+          done;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          Atomic.set sent true
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  let give_up = Unix.gettimeofday () +. 30.0 in
+  while (not (Atomic.get sent)) && Unix.gettimeofday () < give_up do
+    Thread.delay 0.02
+  done;
+  if not (Atomic.get sent) then begin
+    Unix.shutdown fd Unix.SHUTDOWN_ALL;
+    Thread.join writer;
+    Unix.close fd;
+    Alcotest.fail "requests still unsent after 30 s: the daemon stopped reading"
+  end;
+  Thread.join writer;
+  let ic = Unix.in_channel_of_descr fd in
+  let rec count ok n =
+    match input_line ic with
+    | l -> count (ok && String.equal l primed) (n + 1)
+    | exception End_of_file -> (ok, n)
+  in
+  let same, answered = count true 0 in
+  Unix.close fd;
+  check_int "every pipelined request answered" repeats answered;
+  check_bool "each reply replays the primed bytes" true same

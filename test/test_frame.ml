@@ -1,6 +1,7 @@
 (* The tlp.rpc/v2 binary framing: varint/decimal/Binval codec
-   round trips, client-vs-server request-encoder byte equality, the
-   v1/v2 response differential (every status, every error code),
+   round trips, the request codec round trip over every method, client
+   refusals against the v1 server's, the v1/v2 response differential
+   (every status, every error code),
    decoder fuzz on truncated and corrupted frames, live loopback
    negotiation with cache-hit byte equality, and the solver workspace
    pool. *)
@@ -267,86 +268,111 @@ let test_digest_parity_tree =
       Protocol.instance_digest i
       = Digest.to_hex (Digest.string (Protocol.canonical_instance i)))
 
-(* ---------- request encoding: client vs server ---------- *)
+(* ---------- request encoding ---------- *)
 
-(* The client encoder and the server's own encoder must produce the
-   same bytes for every request both can express: the server side
-   encodes the *parsed* v1 line, so equality proves the two framings
-   describe one request space with one set of defaults. *)
-let request_cases =
-  [
-    ("partition default algorithm", None, None, None, false, "partition",
-     Some (partition_params ~instance:chain_obj ~k:9 ()));
-    ("partition bandwidth", Some (Json.Int 1), None, None, false, "partition",
-     Some (partition_params ~algorithm:"bandwidth" ~instance:chain_obj ~k:9 ()));
-    ("partition bottleneck traced", Some (Json.Int 2), None, None, true,
-     "partition",
-     Some (partition_params ~algorithm:"bottleneck" ~instance:chain_obj ~k:9 ()));
-    ("partition procmin on a tree", Some (Json.String "t"), None, None, false,
-     "partition",
-     Some (partition_params ~algorithm:"procmin" ~instance:tree_obj ~k:9 ()));
-    ("partition pipeline with timeout", Some (Json.Int 3), Some 250, None,
-     false, "partition",
-     Some (partition_params ~algorithm:"pipeline" ~instance:chain_obj ~k:12 ()));
-    ("partition batch priority", Some (Json.Int 4), None, Some "batch", false,
-     "partition",
-     Some (partition_params ~instance:chain_obj ~k:9 ()));
-    ("sweep default algorithm", Some (Json.Int 5), None, None, false, "sweep",
-     Some
-       (Json.Obj
-          [ ("instance", chain_obj); ("k_values", ints [ 7; 9; 12 ]) ]));
-    ("sweep deque", Some (Json.Int 6), None, None, false, "sweep",
-     Some
-       (Json.Obj
-          [
-            ("algorithm", Json.String "deque");
-            ("instance", chain_obj);
-            ("k_values", ints [ 8; 9 ]);
-          ]));
-    ("verify defaults", Some (Json.Int 7), None, None, false, "verify", None);
-    ("verify explicit", Some (Json.Int 8), None, None, false, "verify",
-     Some (Json.Obj [ ("rounds", Json.Int 7); ("seed", Json.Int (-3)) ]));
-    ("stats", Some (Json.Int 9), None, None, false, "stats", None);
-    ("health", None, None, None, false, "health", None);
-    ("sleep", Some (Json.Int 10), Some 50, None, false, "sleep",
-     Some (Json.Obj [ ("ms", Json.Int 20) ]));
-  ]
+(* Every request the typed frame can describe, over all ten methods,
+   with every id kind, header flag and algorithm tag. *)
+let frame_gen =
+  let open QCheck2.Gen in
+  let nat = oneof [ int_range 0 1000; int_range 0 max_int ] in
+  let pos = oneof [ int_range 1 1000; int_range 1 max_int ] in
+  let name = small_string ~gen:printable in
+  let chain = map fst small_chain_gen in
+  let instance =
+    oneof
+      [
+        map (fun c -> Io.Chain_instance c) chain;
+        map (fun (t, _) -> Io.Tree_instance t) small_tree_gen;
+      ]
+  in
+  let algorithm =
+    oneofl Protocol.[ Bandwidth; Bottleneck; Procmin; Pipeline ]
+  in
+  let delta =
+    oneof
+      [
+        map2 (fun i d -> Tlp_core.Incremental.Vertex (i, d)) nat encodable_int;
+        map2 (fun j d -> Tlp_core.Incremental.Edge (j, d)) nat encodable_int;
+      ]
+  in
+  let request =
+    oneof
+      [
+        map3
+          (fun instance k algorithm ->
+            Protocol.Partition { instance; k; algorithm })
+          instance pos algorithm;
+        map3
+          (fun chain ks algorithm -> Protocol.Sweep { chain; ks; algorithm })
+          chain
+          (list_size (int_range 1 5) pos)
+          (oneofl [ Ksweep.Hitting; Ksweep.Deque ]);
+        map2
+          (fun rounds seed -> Protocol.Verify { rounds; seed })
+          (int_range 1 Protocol.max_verify_rounds)
+          encodable_int;
+        oneofl Protocol.[ Stats; Health; Cluster ];
+        map (fun ms -> Protocol.Sleep { ms }) (int_range 0 Protocol.max_sleep_ms);
+        map2
+          (fun instance session -> Protocol.Open { instance; session })
+          instance (opt name);
+        map2
+          (fun session deltas -> Protocol.Update { session; deltas })
+          name
+          (list_size (int_range 1 5) delta);
+        map3
+          (fun session k algorithm -> Protocol.Resolve { session; k; algorithm })
+          name pos algorithm;
+      ]
+  in
+  let id =
+    oneof
+      [
+        return Json.Null;
+        map (fun i -> Json.Int i) encodable_int;
+        map (fun s -> Json.String s) name;
+      ]
+  in
+  map
+    (fun (id, request, timeout_ms, priority, trace) ->
+      { Protocol.id; request; timeout_ms; priority; trace })
+    (tup5 id request (opt nat)
+       (oneofl Protocol.[ Interactive; Batch ])
+       bool)
 
-let test_request_encoders_agree () =
-  List.iter
-    (fun (label, id, timeout_ms, priority, trace, meth, params) ->
-      let client_bytes =
-        match
-          Cframe.encode_request ?id ?timeout_ms ?priority ~trace ~meth ?params
-            ()
-        with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "%s: client encoder refused: %s" label msg
-      in
-      let line = Client.request_line ?id ?timeout_ms ?priority ~trace ~meth ?params () in
-      let frame =
-        match Protocol.parse_frame line with
-        | Ok f -> f
-        | Error (_, e) -> Alcotest.failf "%s: v1 parse failed: %s" label e.Protocol.message
-      in
-      let buf = Bytebuf.create 256 in
+let test_request_round_trip =
+  qcheck ~count:500 "request round trip over all methods" frame_gen
+    (fun frame ->
+      let buf = Bytebuf.create 64 in
       Sframe.encode_request buf frame;
-      Alcotest.(check string) label (Bytebuf.contents buf) client_bytes)
-    request_cases
+      Sframe.decode_request (Bytebuf.unsafe_bytes buf) ~pos:4
+        ~len:(Bytebuf.length buf - 4)
+      = Ok frame)
 
-let test_text_instance_needs_v1 () =
-  match
-    Cframe.encode_request ~meth:"partition"
-      ~params:
-        (Json.Obj
-           [
-             ("instance", Json.String (Io.to_string (Io.Chain_instance chain5)));
-             ("k", Json.Int 9);
-           ])
-      ()
-  with
-  | Ok _ -> Alcotest.fail "text instance must not be encodable"
-  | Error msg -> check_bool "mentions v1" true (String.length msg > 0)
+(* The client validates through the v1 parser, which reads the text
+   format too: a text instance and its inline object are one request,
+   so they must be one frame. *)
+let test_text_and_inline_same_bytes () =
+  let encode instance =
+    match
+      Cframe.encode_request ~id:(Json.Int 1) ~meth:"partition"
+        ~params:(partition_params ~algorithm:"procmin" ~instance ~k:9 ())
+        ()
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "encoder refused: %s" msg
+  in
+  let text i = Json.String (Io.to_string i) in
+  Alcotest.(check string)
+    "chain" (encode chain_obj)
+    (encode (text (Io.Chain_instance chain5)));
+  let tree =
+    Tlp_graph.Tree.of_parents ~weights:[| 5; 3; 2; 4 |]
+      ~parents:[| (0, 7); (0, 2); (1, 3) |]
+  in
+  Alcotest.(check string)
+    "tree" (encode tree_obj)
+    (encode (text (Io.Tree_instance tree)))
 
 (* ---------- response differential (unit, deterministic) ---------- *)
 
@@ -391,7 +417,7 @@ let test_error_frames_differential () =
           Alcotest.(check string) "v1 message" err.Protocol.message message
       | _ -> Alcotest.fail "v1 error did not classify as an rpc error")
     [ Protocol.bad_request; Protocol.overloaded; Protocol.timeout;
-      Protocol.internal ]
+      Protocol.internal; Protocol.unavailable ]
 
 let test_ok_frames_differential () =
   let doc =
@@ -711,6 +737,77 @@ let test_live_differential () =
               Alcotest.(check string) "expired deadline message" m1 m2
           | _ -> Alcotest.fail "timeout_ms:0 did not time out on both wires"))
 
+(* A request the client refuses to encode is refused with exactly the
+   [bad_request] message a v1 server returns for the same line, and a
+   v2 [Client.call] reports it the way the v1 call does. *)
+let test_refusals_match_v1_server () =
+  let chain ~alpha ~beta =
+    Json.Obj
+      [ ("kind", Json.String "chain"); ("alpha", ints alpha); ("beta", ints beta) ]
+  in
+  let cases =
+    [
+      ("unknown method", None, None, "frobnicate", None);
+      ("negative timeout", Some (-5), None, "health", None);
+      ("bad priority", None, Some "urgent", "health", None);
+      ("k zero", None, None, "partition",
+       Some (partition_params ~instance:chain_obj ~k:0 ()));
+      ("unknown algorithm", None, None, "partition",
+       Some (partition_params ~algorithm:"magic" ~instance:chain_obj ~k:9 ()));
+      ("missing instance", None, None, "partition",
+       Some (Json.Obj [ ("k", Json.Int 9) ]));
+      ("beta length", None, None, "partition",
+       Some
+         (partition_params ~instance:(chain ~alpha:[ 1; 2; 3 ] ~beta:[ 1 ])
+            ~k:9 ()));
+      ("zero weight", None, None, "partition",
+       Some
+         (partition_params ~instance:(chain ~alpha:[ 1; 0 ] ~beta:[ 1 ]) ~k:9 ()));
+      ("empty k_values", None, None, "sweep",
+       Some (Json.Obj [ ("instance", chain_obj); ("k_values", ints []) ]));
+      ("rounds cap", None, None, "verify",
+       Some (Json.Obj [ ("rounds", Json.Int 1_000_000) ]));
+      ("bad delta", None, None, "update",
+       Some
+         (Json.Obj
+            [ ("session", Json.String "s"); ("deltas", Json.List [ ints [ 1 ] ]) ]));
+    ]
+  in
+  with_server (fun srv ->
+      let port = Server.port srv in
+      let c1 = client_for port and c2 = client_for ~proto:Client.V2 port in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c1;
+          Client.close c2)
+        (fun () ->
+          List.iter
+            (fun (label, timeout_ms, priority, meth, params) ->
+              let refused =
+                match
+                  Cframe.encode_request ~id:(Json.Int 1) ?timeout_ms ?priority
+                    ~meth ?params ()
+                with
+                | Ok _ -> Alcotest.failf "%s: encoded" label
+                | Error msg -> msg
+              in
+              let call c =
+                Client.call c ~id:(Json.Int 1) ?timeout_ms ?priority
+                  ~deadline_ms:10_000 ~meth ?params ()
+              in
+              (match call c1 with
+              | Error (Client.Rpc_error { code = "bad_request"; message }) ->
+                  Alcotest.(check string) (label ^ ": v1 server") message refused
+              | Ok _ -> Alcotest.failf "%s: v1 server accepted" label
+              | Error e ->
+                  Alcotest.failf "%s: v1 server said %s" label
+                    (Client.error_to_string e));
+              match call c2 with
+              | Error (Client.Rpc_error { code = "bad_request"; message }) ->
+                  Alcotest.(check string) (label ^ ": v2 call") refused message
+              | _ -> Alcotest.failf "%s: v2 call not refused" label)
+            cases))
+
 let recv_exact fd n =
   let buf = Bytes.create n in
   let got = ref 0 in
@@ -837,10 +934,9 @@ let suite =
     Alcotest.test_case "binval float exactness" `Quick test_binval_float_exact;
     test_digest_parity_chain;
     test_digest_parity_tree;
-    Alcotest.test_case "request encoders agree" `Quick
-      test_request_encoders_agree;
-    Alcotest.test_case "text instance needs v1" `Quick
-      test_text_instance_needs_v1;
+    test_request_round_trip;
+    Alcotest.test_case "text and inline instances encode alike" `Quick
+      test_text_and_inline_same_bytes;
     Alcotest.test_case "error frames differential" `Quick
       test_error_frames_differential;
     Alcotest.test_case "ok frames differential" `Quick
@@ -854,6 +950,8 @@ let suite =
       test_response_decoder_truncation;
     test_response_decoder_corruption;
     Alcotest.test_case "live v1/v2 differential" `Quick test_live_differential;
+    Alcotest.test_case "refusals match the v1 server" `Quick
+      test_refusals_match_v1_server;
     Alcotest.test_case "v2 cache hit byte equality" `Quick
       test_loopback_v2_cache_hit_bytes;
     Alcotest.test_case "bad hello closes cleanly" `Quick

@@ -316,6 +316,19 @@ let test_router_v1_v2_parity () =
       Client.close v1;
       Client.close v2)
 
+let test_router_pipelined_no_deadlock () =
+  (* The router writes each reply on the connection thread that also
+     reads the connection, like a shard answering a cache hit. *)
+  with_cluster ~n:1 (fun ~router ~servers:_ ~shards:_ ->
+      let port = Router.port router in
+      Helpers.check_pipelined_sweeps ~port ~prime:(fun line ->
+          let c = Client.create ~port ~rng:(Rng.create 7) () in
+          let reply = Client.round_trip c ~deadline_ms:30_000 line in
+          Client.close c;
+          match reply with
+          | Ok raw -> raw
+          | Error e -> Alcotest.failf "priming: %s" (Client.error_to_string e)))
+
 let field name = function
   | Json.Obj fields -> List.assoc_opt name fields
   | _ -> None
@@ -445,6 +458,8 @@ let suite =
     Alcotest.test_case "router: proxied bytes identical to direct" `Quick
       test_router_proxies_byte_identically;
     Alcotest.test_case "router: v1/v2 parity" `Quick test_router_v1_v2_parity;
+    Alcotest.test_case "router: pipelined requests never deadlock" `Quick
+      test_router_pipelined_no_deadlock;
     Alcotest.test_case "router: cluster RPC teaches the ring" `Quick
       test_router_cluster_rpc;
     Alcotest.test_case "server: solo cluster doc bootstraps" `Quick

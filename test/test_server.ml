@@ -1110,73 +1110,12 @@ let test_hits_bypass_admission () =
       Thread.join jam)
 
 let test_pipelined_hits_no_deadlock () =
-  (* Cache hits are written by the connection thread that also reads the
-     connection.  A client that sends all its pipelined requests before
-     reading a reply must still get every answer: here 50 hits whose
-     replies (about 45 MB in all) far exceed the socket buffers, behind
-     8 MB of requests (JSON whitespace pads each one). *)
+  (* Cache hits are written by the connection thread that also reads
+     the connection. *)
   with_server (fun srv ->
       let port = Server.port srv in
-      let chain =
-        Tlp_graph.Chain_gen.figure2 (Tlp_util.Rng.create 7) ~n:20_000
-          ~max_weight:20
-      in
-      let line =
-        Printf.sprintf
-          {|{"id":1,%s"method":"sweep","params":{"instance":%s,"k_values":[%s]}}|}
-          (String.make 60_000 ' ')
-          (Json.to_string
-             (Json.String (Io.to_string (Io.Chain_instance chain))))
-          (String.concat ","
-             (List.init 64 (fun i -> string_of_int (40 + (3 * i)))))
-      in
-      let primed = List.hd (exchange port [ line ]) in
-      let repeats = 50 in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-      let sent = Atomic.make false in
-      let writer =
-        Thread.create
-          (fun () ->
-            let bytes =
-              Bytes.of_string
-                (String.concat "" (List.init repeats (fun _ -> line ^ "\n")))
-            in
-            let n = Bytes.length bytes in
-            let written = ref 0 in
-            try
-              while !written < n do
-                written :=
-                  !written + Unix.write fd bytes !written (n - !written)
-              done;
-              Unix.shutdown fd Unix.SHUTDOWN_SEND;
-              Atomic.set sent true
-            with Unix.Unix_error _ -> ())
-          ()
-      in
-      let give_up = Unix.gettimeofday () +. 30.0 in
-      while (not (Atomic.get sent)) && Unix.gettimeofday () < give_up do
-        Thread.delay 0.02
-      done;
-      if not (Atomic.get sent) then begin
-        (* Unblock both sides before failing, so the drain can finish. *)
-        Unix.shutdown fd Unix.SHUTDOWN_ALL;
-        Thread.join writer;
-        Unix.close fd;
-        Alcotest.fail "requests still unsent after 30 s: server stopped reading"
-      end;
-      Thread.join writer;
-      let ic = Unix.in_channel_of_descr fd in
-      let rec count ok n =
-        match input_line ic with
-        | l -> count (ok && String.equal l primed) (n + 1)
-        | exception End_of_file -> (ok, n)
-      in
-      let same, answered = count true 0 in
-      Unix.close fd;
-      check_int "every pipelined hit answered" repeats answered;
-      check_bool "each reply replays the primed bytes" true same)
+      check_pipelined_sweeps ~port ~prime:(fun line ->
+          List.hd (exchange port [ line ])))
 
 let test_cache_counted_once () =
   (* The digest is taken and the cache probed exactly once per request,
