@@ -13,9 +13,6 @@
      ablation  E10 TEMP_S vs naive recurrence; prune vs Alg 2.2; CMB nulls
      json      instrumented solver records -> BENCH_partitioning.json
      engine    batch/K-sweep engine -> BENCH_engine.json
-     server    tlp.rpc/v1 daemon loopback -> BENCH_server.json
-     load      tlp_load workload vs daemon -> BENCH_load.json
-     cluster   load section + 1-vs-3-shard scale-out -> BENCH_load.json
 
    Run all sections:        dune exec bench/main.exe
    Run selected sections:   dune exec bench/main.exe -- figure2 timing
@@ -36,9 +33,6 @@ let sections =
     ("ablation", Exp_ablation.run);
     ("json", fun () -> Bench_runner.run_partitioning_suite ());
     ("engine", fun () -> Exp_engine.run ~max_jobs:!max_jobs ());
-    ("server", fun () -> Exp_server.run ~max_jobs:!max_jobs ());
-    ("load", fun () -> Exp_load.run ~max_jobs:!max_jobs ());
-    ("cluster", fun () -> Exp_load.run ~cluster:true ~max_jobs:!max_jobs ());
   ]
 
 let () =

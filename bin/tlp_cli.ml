@@ -445,45 +445,14 @@ let sweep path ks algorithm jobs metrics_mode =
           Ksweep.sweep ~metrics (Ksweep.create chain) ~algorithm ks
         else Ksweep.sweep_parallel ~metrics ~jobs chain ~algorithm ks)
   in
-  let algo_name =
-    match algorithm with
-    | Ksweep.Deque -> "deque"
-    | Ksweep.Hitting -> "hitting"
-  in
+  let algo_name = Ksweep.algorithm_name algorithm in
   emit metrics_mode metrics
     ~json_fields:
       [
         ("algorithm", Json.String algo_name);
         ("n", Json.Int (Chain.n chain));
         ("jobs", Json.Int jobs);
-        ( "entries",
-          Json.List
-            (List.map
-               (function
-                 | Ok e ->
-                     Json.Obj
-                       ([
-                          ("k", Json.Int e.Ksweep.k);
-                          ("weight", Json.Int e.Ksweep.weight);
-                          ("cut", json_cut e.Ksweep.cut);
-                        ]
-                       @
-                       match e.Ksweep.stats with
-                       | None -> []
-                       | Some s ->
-                           [
-                             ("primes", Json.Int s.Tlp_core.Bandwidth_hitting.p);
-                             ("groups", Json.Int s.Tlp_core.Bandwidth_hitting.r);
-                             ( "q_mean",
-                               Json.Float s.Tlp_core.Bandwidth_hitting.q_mean );
-                           ])
-                 | Error e ->
-                     Json.Obj
-                       [
-                         ( "infeasible",
-                           Json.String (Tlp_core.Infeasible.to_string e) );
-                       ])
-               results) );
+        ("entries", Ksweep.entries_json ks results);
       ]
     ~text:(fun () ->
       let tab =
@@ -690,76 +659,6 @@ let tree_simulate_cmd =
 
 (* ---------- verify ---------- *)
 
-(* One fuzzing chunk on a private RNG stream: random instances, every
-   solver against its oracle.  Returns (instances checked, mismatch
-   descriptions) so chunks can run on worker domains and report after
-   the join. *)
-let verify_chunk rng rounds =
-  let mismatches = ref [] in
-  let checked = ref 0 in
-  for _ = 1 to rounds do
-    let n = 1 + Rng.int rng 12 in
-    let alpha = Array.init n (fun _ -> 1 + Rng.int rng 20) in
-    let beta = Array.init (Stdlib.max 0 (n - 1)) (fun _ -> 1 + Rng.int rng 30) in
-    let chain = Chain.make ~alpha ~beta in
-    let total = Chain.total_weight chain in
-    let k = Chain.max_alpha chain + Rng.int rng (Stdlib.max 1 total) in
-    incr checked;
-    let oracle =
-      Option.map snd (Tlp_baselines.Exhaustive.chain_min_bandwidth chain ~k)
-    in
-    let weight_of = function
-      | Ok { Tlp_core.Bandwidth.weight; _ } -> Some weight
-      | Error _ -> None
-    in
-    let candidates =
-      [
-        weight_of (Tlp_core.Bandwidth.deque chain ~k);
-        weight_of (Tlp_core.Bandwidth.heap chain ~k);
-        (match Tlp_core.Bandwidth_hitting.solve chain ~k with
-        | Ok { Tlp_core.Bandwidth_hitting.weight; _ } -> Some weight
-        | Error _ -> None);
-        (match Tlp_core.Bandwidth_primes_naive.solve chain ~k with
-        | Ok { Tlp_core.Bandwidth_primes_naive.weight; _ } -> Some weight
-        | Error _ -> None);
-      ]
-    in
-    if not (List.for_all (( = ) oracle) candidates) then
-      mismatches := Printf.sprintf "MISMATCH on chain n=%d k=%d" n k :: !mismatches;
-    (* Tree side: bottleneck + proc-min vs exhaustive. *)
-    let weights = Array.init n (fun _ -> 1 + Rng.int rng 20) in
-    let parents =
-      Array.init (n - 1) (fun i -> (Rng.int rng (i + 1), 1 + Rng.int rng 30))
-    in
-    let t = Tree.of_parents ~weights ~parents in
-    let tk =
-      Array.fold_left Stdlib.max 1 weights
-      + Rng.int rng (Stdlib.max 1 (Tree.total_weight t))
-    in
-    (match
-       ( Tlp_core.Bottleneck.fast t ~k:tk,
-         Tlp_baselines.Exhaustive.tree_min_bottleneck t ~k:tk )
-     with
-    | Ok { Tlp_core.Bottleneck.bottleneck; _ }, Some (_, best)
-      when bottleneck = best ->
-        ()
-    | _ ->
-        mismatches :=
-          Printf.sprintf "MISMATCH on tree bottleneck n=%d k=%d" n tk
-          :: !mismatches);
-    match
-      ( Tlp_core.Proc_min.solve t ~k:tk,
-        Tlp_baselines.Exhaustive.tree_min_cardinality t ~k:tk )
-    with
-    | Ok { Tlp_core.Proc_min.cut; _ }, Some (_, best)
-      when List.length cut = best ->
-        ()
-    | _ ->
-        mismatches :=
-          Printf.sprintf "MISMATCH on proc-min n=%d k=%d" n tk :: !mismatches
-  done;
-  (!checked, List.rev !mismatches)
-
 let verify rounds seed jobs =
   let chunks =
     (* Split the rounds into [jobs] near-equal chunks, each on its own
@@ -770,15 +669,14 @@ let verify rounds seed jobs =
     let base = rounds / jobs and extra = rounds mod jobs in
     List.init jobs (fun i -> (rngs.(i), base + if i < extra then 1 else 0))
   in
+  let fuzz (rng, rounds) = Tlp_baselines.Exhaustive.fuzz rng ~rounds in
   let results =
     match chunks with
-    | [ (rng, r) ] -> [ verify_chunk rng r ]
+    | [ chunk ] -> [ fuzz chunk ]
     | _ ->
         Array.to_list
           (Tlp_engine.Pool.with_pool ~jobs:(List.length chunks) (fun pool ->
-               Tlp_engine.Pool.parallel_map pool
-                 (fun (rng, r) -> verify_chunk rng r)
-                 (Array.of_list chunks)))
+               Tlp_engine.Pool.parallel_map pool fuzz (Array.of_list chunks)))
   in
   let checked = List.fold_left (fun acc (c, _) -> acc + c) 0 results in
   let mismatches = List.concat_map snd results in

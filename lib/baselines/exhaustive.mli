@@ -37,3 +37,16 @@ val tree_min_bottleneck :
 val tree_min_cardinality :
   ?metrics:Tlp_util.Metrics.t ->
   Tlp_graph.Tree.t -> k:int -> (Tlp_graph.Tree.cut * int) option
+
+(** {1 Differential fuzz} *)
+
+val fuzz : Tlp_util.Rng.t -> rounds:int -> int * string list
+(** [fuzz rng ~rounds] draws [rounds] random instances of up to 12
+    vertices and checks every solver against its oracle above: the four
+    chain bandwidth solvers ([Bandwidth.deque], [Bandwidth.heap],
+    [Bandwidth_hitting], [Bandwidth_primes_naive]) against
+    {!chain_min_bandwidth}, [Bottleneck.fast] against
+    {!tree_min_bottleneck} and [Proc_min] against
+    {!tree_min_cardinality}.  Returns the instance count and one
+    message per mismatch, in draw order.  Deterministic in [rng]'s
+    state; the [verify] RPC and [tlp_cli verify] both run it. *)

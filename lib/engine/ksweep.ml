@@ -3,6 +3,7 @@ module Metrics = Tlp_util.Metrics
 module Bandwidth = Tlp_core.Bandwidth
 module Hitting = Tlp_core.Bandwidth_hitting
 module Infeasible = Tlp_core.Infeasible
+module Json = Tlp_util.Json_out
 
 type t = {
   chain : Chain.t;
@@ -51,6 +52,37 @@ let sorted_ks ks = List.sort_uniq compare ks
 
 let sweep ?(metrics = Metrics.null) t ~algorithm ks =
   List.map (fun k -> solve ~metrics t ~algorithm ~k) (sorted_ks ks)
+
+let algorithm_name = function Deque -> "deque" | Hitting -> "hitting"
+
+let entries_json ks results =
+  let int i = Json.Int i in
+  Json.List
+    (List.map2
+       (fun k -> function
+         | Ok e ->
+             Json.Obj
+               ([
+                  ("k", int e.k);
+                  ("weight", int e.weight);
+                  ("cut", Json.List (List.map int e.cut));
+                ]
+               @
+               match e.stats with
+               | None -> []
+               | Some s ->
+                   [
+                     ("primes", int s.Hitting.p);
+                     ("groups", int s.Hitting.r);
+                     ("q_mean", Json.Float s.Hitting.q_mean);
+                   ])
+         | Error err ->
+             Json.Obj
+               [
+                 ("k", int k);
+                 ("infeasible", Json.String (Infeasible.to_string err));
+               ])
+       (sorted_ks ks) results)
 
 (* Split [ks] (already sorted) into [m] contiguous chunks of near-equal
    size, dropping empty tails.  Contiguity keeps each worker's sweep

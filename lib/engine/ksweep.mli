@@ -59,6 +59,17 @@ val sweep_parallel :
     a domain pool.  Per-chunk metrics sinks are merged into [metrics] in
     K order after the workers join. *)
 
+val algorithm_name : algorithm -> string
+(** ["deque"] or ["hitting"], as the [sweep] results name it. *)
+
+val entries_json :
+  int list -> (entry, Tlp_core.Infeasible.t) result list -> Tlp_util.Json_out.t
+(** [entries_json ks (sweep t ~algorithm ks)] renders the sweep's
+    [entries] array: [{"k", "weight", "cut"}] plus the hitting stats
+    ([primes], [groups], [q_mean]) for a solved K, [{"k", "infeasible"}]
+    for an infeasible one.  The one rendering behind both the [sweep]
+    RPC and [tlp_cli sweep]. *)
+
 val decomposition :
   t -> k:int -> ((int * int) array, Tlp_core.Infeasible.t) result
 (** Prime subpaths of the chain at [k] as inclusive (first edge, last

@@ -51,7 +51,7 @@ let config_json (c : Workload.config) =
       ("drift", Json.Int c.drift);
     ]
 
-let to_json ?(extra = []) (r : Runner.result) =
+let to_json (r : Runner.result) =
   let c = r.counts in
   Json.Obj
     ([
@@ -123,13 +123,12 @@ let to_json ?(extra = []) (r : Runner.result) =
              (fun (seq, msg) ->
                Json.Obj [ ("seq", Json.Int seq); ("error", Json.String msg) ])
              r.failures) );
-    ]
-    @ extra)
+    ])
 
-let render ?extra r = Json.to_string (to_json ?extra r) ^ "\n"
+let render r = Json.to_string (to_json r) ^ "\n"
 
-let write ?extra ~path r =
-  let text = render ?extra r in
+let write ~path r =
+  let text = render r in
   (match Json.validate text with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Report.write: invalid rendering: " ^ msg));

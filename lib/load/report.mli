@@ -10,26 +10,15 @@
 val schema : string
 (** ["tlp.load/v1"]. *)
 
-val to_json :
-  ?extra:(string * Tlp_util.Json_out.t) list ->
-  Runner.result ->
-  Tlp_util.Json_out.t
-(** The full report tree.  [extra] fields are appended to the
-    top-level object — additive per PROTOCOL.md §5, so consumers of
-    the fixed fields are unaffected (e.g. a companion v2 run embedded
-    next to the primary report).  Cluster runs ([result.per_shard]
-    non-empty) additionally carry a [shards] array with per-member
+val to_json : Runner.result -> Tlp_util.Json_out.t
+(** The full report tree.  Cluster runs ([result.per_shard] non-empty)
+    additionally carry a [shards] array with per-member
     [throughput_rps] and latency quantiles (EXPERIMENTS.md §Cluster). *)
 
-val render :
-  ?extra:(string * Tlp_util.Json_out.t) list -> Runner.result -> string
+val render : Runner.result -> string
 (** Compact one-line JSON with a trailing newline. *)
 
-val write :
-  ?extra:(string * Tlp_util.Json_out.t) list ->
-  path:string ->
-  Runner.result ->
-  unit
+val write : path:string -> Runner.result -> unit
 (** Validate {!render} output and write it to [path].  Raises
     [Invalid_argument] if the rendering fails validation (which would
     indicate a bug in this module, not in the run). *)

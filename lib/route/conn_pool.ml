@@ -12,10 +12,6 @@ type t = {
   mutable created : int;
 }
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let create ?(capacity = 8) ~host ~port ~proto ~rng () =
   {
     mutex = Mutex.create ();
@@ -30,7 +26,7 @@ let create ?(capacity = 8) ~host ~port ~proto ~rng () =
 
 let checkout t =
   match
-    locked t.mutex (fun () ->
+    Mutex.protect t.mutex (fun () ->
         match t.idle with
         | c :: rest ->
             t.idle <- rest;
@@ -44,12 +40,12 @@ let checkout t =
       (* Splitting under the mutex above would also work, but [split]
          mutates the parent stream, so do it in a second short
          critical section to keep checkout lock hold times tiny. *)
-      let rng = locked t.mutex (fun () -> Rng.split t.rng) in
+      let rng = Mutex.protect t.mutex (fun () -> Rng.split t.rng) in
       Client.create ~host:t.host ~port:t.port ~proto:t.proto ~rng ()
 
 let checkin t client =
   let keep =
-    locked t.mutex (fun () ->
+    Mutex.protect t.mutex (fun () ->
         if List.length t.idle < t.capacity then begin
           t.idle <- client :: t.idle;
           true
@@ -60,11 +56,11 @@ let checkin t client =
 
 let discard _t client = Client.close client
 
-let created t = locked t.mutex (fun () -> t.created)
-let idle t = locked t.mutex (fun () -> List.length t.idle)
+let created t = Mutex.protect t.mutex (fun () -> t.created)
+let idle t = Mutex.protect t.mutex (fun () -> List.length t.idle)
 
 let drain t =
-  let clients = locked t.mutex (fun () ->
+  let clients = Mutex.protect t.mutex (fun () ->
       let cs = t.idle in
       t.idle <- [];
       cs)

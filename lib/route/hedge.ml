@@ -5,9 +5,10 @@
    owns a pipe: completion threads write one byte when they finish,
    and the coordinator [Unix.select]s on the read end with the hedge
    delay as the timeout — a wakeup that is prompt for completions and
-   exact for the trigger.  The write side is guarded by the race mutex
-   plus a [pipe_open] flag so a loser finishing after the race settles
-   never writes to a closed descriptor. *)
+   exact for the trigger.  The pipe is closed by its last holder (the
+   coordinator and each started arm hold it once), so a loser finishing
+   after the race settles never writes to a closed descriptor, and no
+   descriptor is written or closed under the race mutex. *)
 
 type outcome = Good | Bad
 
@@ -25,32 +26,37 @@ type 'a race = {
   mutex : Mutex.t;
   mutable primary : 'a slot;
   mutable secondary : 'a slot;
-  mutable pipe_open : bool;
+  mutable holders : int;  (** coordinator + arms not yet finished *)
   notify_r : Unix.file_descr;
   notify_w : Unix.file_descr;
 }
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-(* One byte per completion: never blocks (a race writes at most two
-   bytes against a pipe buffer of at least 4 KiB). *)
-let signal race =
-  if race.pipe_open then
-    match Unix.write race.notify_w (Bytes.make 1 '!') 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error _ -> ()
+(* Drop one hold on the pipe; the last holder closes it. *)
+let release race =
+  if
+    Mutex.protect race.mutex (fun () ->
+        race.holders <- race.holders - 1;
+        race.holders = 0)
+  then begin
+    (try Unix.close race.notify_r with Unix.Unix_error _ -> ());
+    try Unix.close race.notify_w with Unix.Unix_error _ -> ()
+  end
 
 let start_arm race ~secondary thunk =
+  Mutex.protect race.mutex (fun () -> race.holders <- race.holders + 1);
   let t =
     Thread.create
       (fun () ->
-        let result = thunk () in
-        locked race.mutex (fun () ->
-            (if secondary then race.secondary <- Done (fst result, snd result)
-             else race.primary <- Done (fst result, snd result));
-            signal race))
+        let outcome, value = thunk () in
+        Mutex.protect race.mutex (fun () ->
+            if secondary then race.secondary <- Done (outcome, value)
+            else race.primary <- Done (outcome, value));
+        (* One byte per completion: never blocks (a race writes at most
+           two bytes against a pipe buffer of at least 4 KiB), and this
+           arm's hold keeps the descriptor open. *)
+        (try ignore (Unix.write race.notify_w (Bytes.make 1 '!') 0 1 : int)
+         with Unix.Unix_error _ -> ());
+        release race)
       ()
   in
   ignore (t : Thread.t)
@@ -71,23 +77,16 @@ let await race ~timeout_s =
   in
   go ()
 
-let close_pipe race =
-  locked race.mutex (fun () ->
-      if race.pipe_open then begin
-        race.pipe_open <- false;
-        (try Unix.close race.notify_r with Unix.Unix_error _ -> ());
-        try Unix.close race.notify_w with Unix.Unix_error _ -> ()
-      end)
+let pending = function Pending -> 1 | Done _ -> 0
 
 let settle race ~fired ~failover ~winner value =
   let cancelled =
-    locked race.mutex (fun () ->
-        let pending = function Pending -> 1 | Done _ -> 0 in
+    Mutex.protect race.mutex (fun () ->
         (* Only arms that actually started can be cancelled. *)
         pending race.primary
         + if fired || failover then pending race.secondary else 0)
   in
-  close_pipe race;
+  release race;
   { value; winner; fired; failover; cancelled }
 
 let race ?secondary ~delay_s primary =
@@ -97,14 +96,14 @@ let race ?secondary ~delay_s primary =
       mutex = Mutex.create ();
       primary = Pending;
       secondary = Pending;
-      pipe_open = true;
+      holders = 1;
       notify_r;
       notify_w;
     }
   in
   start_arm race ~secondary:false primary;
   let read_slots () =
-    locked race.mutex (fun () -> (race.primary, race.secondary))
+    Mutex.protect race.mutex (fun () -> (race.primary, race.secondary))
   in
   (* Phase 1: primary alone, up to the hedge delay. *)
   let rec before_delay deadline =

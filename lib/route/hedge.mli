@@ -15,8 +15,8 @@
     wakeups.  The losing arm is never interrupted — thunks must be
     self-bounding (the router's are: every proxy call carries a
     deadline) — but its completion is discarded, the race's pipe is
-    closed under the mutex before it can write, and the verdict counts
-    it as [cancelled]. *)
+    closed by whichever of the coordinator and the arms finishes last,
+    and the verdict counts it as [cancelled]. *)
 
 type outcome = Good | Bad
 (** How an arm's answer should steer the race: [Good] settles it,

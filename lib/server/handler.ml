@@ -152,112 +152,23 @@ let partition_result ?(metrics = Metrics.null) ?workspace instance ~k ~algorithm
 
 let sweep_result ?(metrics = Metrics.null) chain ~ks ~algorithm =
   let results = Ksweep.sweep ~metrics (Ksweep.create chain) ~algorithm ks in
-  let sorted_ks = List.sort_uniq compare ks in
-  let algo_name =
-    match algorithm with Ksweep.Deque -> "deque" | Ksweep.Hitting -> "hitting"
-  in
   Json.Obj
     [
-      ("algorithm", Json.String algo_name);
+      ("algorithm", Json.String (Ksweep.algorithm_name algorithm));
       ("n", Json.Int (Chain.n chain));
-      ( "entries",
-        Json.List
-          (List.map2
-             (fun k -> function
-               | Ok e ->
-                   Json.Obj
-                     ([
-                        ("k", Json.Int e.Ksweep.k);
-                        ("weight", Json.Int e.Ksweep.weight);
-                        ("cut", json_cut e.Ksweep.cut);
-                      ]
-                     @
-                     match e.Ksweep.stats with
-                     | None -> []
-                     | Some s ->
-                         [
-                           ("primes", Json.Int s.Tlp_core.Bandwidth_hitting.p);
-                           ("groups", Json.Int s.Tlp_core.Bandwidth_hitting.r);
-                           ( "q_mean",
-                             Json.Float s.Tlp_core.Bandwidth_hitting.q_mean );
-                         ])
-               | Error e ->
-                   Json.Obj
-                     [
-                       ("k", Json.Int k);
-                       ( "infeasible",
-                         Json.String (Tlp_core.Infeasible.to_string e) );
-                     ])
-             sorted_ks results) );
+      ("entries", Ksweep.entries_json ks results);
     ]
 
 (* ---------- verify ---------- *)
 
-(* A compact differential fuzz (the CLI's [verify] in library form):
-   every chain bandwidth solver against the exhaustive oracle, tree
-   bottleneck and proc-min against theirs. *)
 let verify_result ~rounds ~seed =
-  let rng = Rng.create seed in
-  let failures = ref [] in
-  let note fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  for _ = 1 to rounds do
-    let n = 1 + Rng.int rng 10 in
-    let alpha = Array.init n (fun _ -> 1 + Rng.int rng 20) in
-    let beta =
-      Array.init (Stdlib.max 0 (n - 1)) (fun _ -> 1 + Rng.int rng 30)
-    in
-    let chain = Chain.make ~alpha ~beta in
-    let total = Chain.total_weight chain in
-    let k = Chain.max_alpha chain + Rng.int rng (Stdlib.max 1 total) in
-    let oracle =
-      Option.map snd (Tlp_baselines.Exhaustive.chain_min_bandwidth chain ~k)
-    in
-    let weight_of = function
-      | Ok { Tlp_core.Bandwidth.weight; _ } -> Some weight
-      | Error _ -> None
-    in
-    let candidates =
-      [
-        weight_of (Tlp_core.Bandwidth.deque chain ~k);
-        weight_of (Tlp_core.Bandwidth.heap chain ~k);
-        (match Tlp_core.Bandwidth_hitting.solve chain ~k with
-        | Ok { Tlp_core.Bandwidth_hitting.weight; _ } -> Some weight
-        | Error _ -> None);
-      ]
-    in
-    if not (List.for_all (( = ) oracle) candidates) then
-      note "chain bandwidth mismatch n=%d k=%d" n k;
-    let weights = Array.init n (fun _ -> 1 + Rng.int rng 20) in
-    let parents =
-      Array.init (n - 1) (fun i -> (Rng.int rng (i + 1), 1 + Rng.int rng 30))
-    in
-    let t = Tree.of_parents ~weights ~parents in
-    let tk =
-      Array.fold_left Stdlib.max 1 weights
-      + Rng.int rng (Stdlib.max 1 (Tree.total_weight t))
-    in
-    (match
-       ( Tlp_core.Bottleneck.fast t ~k:tk,
-         Tlp_baselines.Exhaustive.tree_min_bottleneck t ~k:tk )
-     with
-    | Ok { Tlp_core.Bottleneck.bottleneck; _ }, Some (_, best)
-      when bottleneck = best ->
-        ()
-    | _ -> note "tree bottleneck mismatch n=%d k=%d" n tk);
-    match
-      ( Tlp_core.Proc_min.solve t ~k:tk,
-        Tlp_baselines.Exhaustive.tree_min_cardinality t ~k:tk )
-    with
-    | Ok { Tlp_core.Proc_min.cut; _ }, Some (_, best)
-      when List.length cut = best ->
-        ()
-    | _ -> note "proc-min mismatch n=%d k=%d" n tk
-  done;
+  let checked, failures =
+    Tlp_baselines.Exhaustive.fuzz (Rng.create seed) ~rounds
+  in
   Json.Obj
     [
-      ("checked", Json.Int rounds);
-      ( "failures",
-        Json.List (List.rev_map (fun m -> Json.String m) !failures) );
+      ("checked", Json.Int checked);
+      ("failures", Json.List (List.map (fun m -> Json.String m) failures));
     ]
 
 (* ---------- dispatch ---------- *)

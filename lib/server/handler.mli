@@ -36,7 +36,7 @@ val sweep_result :
 
 val verify_result : rounds:int -> seed:int -> Tlp_util.Json_out.t
 (** Differential fuzz of the solvers against the exhaustive oracles on
-    [rounds] random instances.  Streams are derived from [seed] (not
+    [rounds] random instances ([Tlp_baselines.Exhaustive.fuzz]).  Streams are derived from [seed] (not
     from the server's master RNG) so the response is a pure function of
     the request — admission order cannot leak into result bytes. *)
 

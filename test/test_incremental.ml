@@ -464,6 +464,85 @@ let test_counter_parity () =
   check_int "session hitting_search_steps" !steps
     (Metrics.get m "hitting_search_steps")
 
+(* Session resolves under weight drift, timed in process on the two
+   session shapes perfbench's drift_rounds serves (PROTOCOL.md section
+   9).  Three replicas of one n=50000 chain take the same 30 rounds of
+   three +1 vertex deltas: one resolves under Auto, one under
+   [Force_full], and one is materialized and solved from scratch by
+   [BH.solve], as a session-less server would.  Answers must agree in
+   every round.  On the spiky shape (a heavy vertex every 100, so few
+   primes) Auto repairs every round and beats the forced rescan; on
+   both shapes its p50 beats the from-scratch solve. *)
+let drift_rounds ~name chain ~k =
+  let n = Chain.n chain and rounds = 30 in
+  let auto = Incr.create chain and full = Incr.create chain in
+  let workspace = BH.Workspace.create n in
+  (* Warm the per-K state: rounds time repairs, not the first scan. *)
+  (match Incr.resolve ~workspace auto ~k with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail (name ^ ": warmup infeasible"));
+  let rng = Rng.create 5 in
+  let timed f =
+    let t0 = Tlp_util.Timer.now () in
+    let x = f () in
+    (x, Tlp_util.Timer.now () -. t0)
+  in
+  let auto_s = Array.make rounds 0.0 and full_s = Array.make rounds 0.0 in
+  let scratch_s = Array.make rounds 0.0 and repaired = ref 0 in
+  for round = 0 to rounds - 1 do
+    let deltas =
+      List.init 3 (fun _ -> Incr.Vertex (1 + Rng.int rng (n - 1), 1))
+    in
+    (match (Incr.apply auto deltas, Incr.apply full deltas) with
+    | Ok (), Ok () -> ()
+    | _ -> Alcotest.fail (name ^ ": delta batch rejected"));
+    let auto_r, ta = timed (fun () -> Incr.resolve ~workspace auto ~k) in
+    let full_r, tf =
+      timed (fun () -> Incr.resolve ~plan:Incr.Force_full ~workspace full ~k)
+    in
+    let scratch_r, ts =
+      timed (fun () -> BH.solve ~workspace (Incr.chain full) ~k)
+    in
+    auto_s.(round) <- ta;
+    full_s.(round) <- tf;
+    scratch_s.(round) <- ts;
+    match (auto_r, full_r, scratch_r) with
+    | Ok (a, mode), Ok (f, _), Ok sc ->
+        if mode = Incr.Incremental then incr repaired;
+        check_bool (name ^ ": answers agree") true (a = sc && f = sc)
+    | _ -> Alcotest.fail (name ^ ": resolve infeasible")
+  done;
+  let p50 times =
+    let sorted = Array.copy times in
+    Array.sort Float.compare sorted;
+    sorted.(rounds / 2)
+  in
+  let auto_p50 = p50 auto_s and scratch_p50 = p50 scratch_s in
+  check_bool
+    (Printf.sprintf "%s: 0 < auto p50 %.3fms < from-scratch p50 %.3fms"
+       name (auto_p50 *. 1e3) (scratch_p50 *. 1e3))
+    true
+    (0.0 < auto_p50 && auto_p50 < scratch_p50);
+  (rounds, !repaired, auto_p50, p50 full_s)
+
+let test_drift_resolves () =
+  let n = 50_000 in
+  let spiky =
+    Chain.make
+      ~alpha:(Array.init n (fun i -> if i mod 100 = 0 then 5_000 else 1))
+      ~beta:(Array.make (n - 1) 1)
+  in
+  let rounds, repaired, auto_p50, full_p50 =
+    drift_rounds ~name:"spiky" spiky ~k:20_000
+  in
+  check_int "spiky: Auto repairs every round" rounds repaired;
+  check_bool
+    (Printf.sprintf "spiky: auto p50 %.3fms < force-full p50 %.3fms"
+       (auto_p50 *. 1e3) (full_p50 *. 1e3))
+    true (auto_p50 < full_p50);
+  let figure2 = Tlp_graph.Chain_gen.figure2 (Rng.create 7) ~n ~max_weight:20 in
+  ignore (drift_rounds ~name:"figure2" figure2 ~k:300)
+
 let suite =
   [
     Alcotest.test_case "known repair" `Quick test_known_repair;
@@ -487,6 +566,8 @@ let suite =
       test_counter_parity;
     Alcotest.test_case "max_int edge weights" `Quick
       test_max_int_edge_weights;
+    Alcotest.test_case "drift: Auto beats rescan and scratch" `Quick
+      test_drift_resolves;
     prop_leftmost_min;
     prop_differential;
     prop_auto_plan_matches;
