@@ -462,8 +462,8 @@ let sweep path ks algorithm jobs metrics_mode =
                (Chain.n chain) jobs)
           [ "K"; "opt weight"; "cut size"; "p"; "r"; "q" ]
       in
-      List.iter
-        (function
+      List.iter2
+        (fun k -> function
           | Ok e ->
               let p, r, q =
                 match e.Ksweep.stats with
@@ -483,9 +483,9 @@ let sweep path ks algorithm jobs metrics_mode =
                 ]
           | Error err ->
               Texttab.add_row tab
-                [ "-"; "-"; "-"; "-"; "-";
+                [ string_of_int k; "-"; "-"; "-"; "-";
                   "infeasible: " ^ Tlp_core.Infeasible.to_string err ])
-        results;
+        (Ksweep.sorted_ks ks) results;
       Texttab.print tab)
 
 let sweep_cmd =

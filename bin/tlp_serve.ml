@@ -115,7 +115,9 @@ let serve_cmd =
    JSON rendering — so v1 and v2 runs of the same script must print
    byte-identical stdout — and the MD5 of each raw response payload
    goes to stderr ("frame <hex>") for byte-equality checks across
-   repeated calls. *)
+   repeated calls.  A line the parser refuses has no v2 encoding; it is
+   answered locally with the refusal a v1 server sends for it, and no
+   frame is sent. *)
 let call host port requests expect_ok proto =
   let requests =
     (match requests with
@@ -162,9 +164,10 @@ let call host port requests expect_ok proto =
   let call_v2 request =
     let module Protocol = Tlp_server.Protocol in
     match Protocol.parse_frame request with
-    | Error (_, err) ->
-        Printf.eprintf "error: unencodable request: %s\n" err.Protocol.message;
-        exit 1
+    | Error (id, err) ->
+        let line = Protocol.render_error ~id err in
+        print_endline line;
+        check_line line
     | Ok frame -> (
         let buf = Tlp_util.Bytebuf.create 256 in
         Tlp_server.Frame.encode_request buf frame;

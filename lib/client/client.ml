@@ -88,6 +88,8 @@ type t = {
          into its backing store *)
   mutable scanned : int;  (* prefix of [inbuf] known to hold no newline *)
   mutable fd : Unix.file_descr option;
+  mutable rcvtimeo : float;
+      (* SO_RCVTIMEO last set on [fd]; negative on a fresh socket *)
   mutable dials : int;
 }
 
@@ -103,6 +105,7 @@ let create ?(host = "127.0.0.1") ?(port = 7171) ?(proto = V1)
     inbuf = Bytebuf.create 8192;
     scanned = 0;
     fd = None;
+    rcvtimeo = -1.0;
     dials = 0;
   }
 
@@ -140,6 +143,7 @@ let ensure_connected t =
       match Unix.connect fd addr with
       | () ->
           t.fd <- Some fd;
+          t.rcvtimeo <- -1.0;
           discard_input t;
           t.dials <- t.dials + 1;
           fd
@@ -192,7 +196,10 @@ let take_line t =
     Some line
   end
 
-(* One socket read appended to [inbuf], honoring the deadline. *)
+(* One socket read appended to [inbuf], honoring the deadline.  The
+   timeout is set only when it differs from the one already on the
+   socket: a deadline re-arms it before every read, while deadline-free
+   calls leave it at 0 and make no syscall beyond the read. *)
 let fill t fd ~deadline =
   let remaining =
     match deadline with
@@ -203,7 +210,10 @@ let fill t fd ~deadline =
           fail_close t (Timeout "deadline expired awaiting response")
         else r
   in
-  Unix.setsockopt_float fd SO_RCVTIMEO remaining;
+  if remaining <> t.rcvtimeo then begin
+    Unix.setsockopt_float fd SO_RCVTIMEO remaining;
+    t.rcvtimeo <- remaining
+  end;
   Bytebuf.reserve t.inbuf 8192;
   let bytes = Bytebuf.unsafe_bytes t.inbuf in
   let off = Bytebuf.length t.inbuf in

@@ -59,6 +59,10 @@ val sweep_parallel :
     a domain pool.  Per-chunk metrics sinks are merged into [metrics] in
     K order after the workers join. *)
 
+val sorted_ks : int list -> int list
+(** The Ks a sweep solves, in the order of its results: deduplicated
+    and ascending. *)
+
 val algorithm_name : algorithm -> string
 (** ["deque"] or ["hitting"], as the [sweep] results name it. *)
 

@@ -104,8 +104,11 @@ let as_string name = function
   | Json.String s -> s
   | _ -> reject "field %S must be a string" name
 
-let as_int_list name = function
-  | Json.List items -> List.map (as_int name) items
+(* [parse_frame] reads an all-integer array as one [Ints]; any other
+   array, and every document built in process, arrives as a [List]. *)
+let as_int_array name = function
+  | Json.Ints a -> a
+  | Json.List items -> Array.of_list (List.map (as_int name) items)
   | _ -> reject "field %S must be an array of integers" name
 
 let positive name i =
@@ -129,18 +132,17 @@ let parse_instance = function
       let kind = as_string "kind" (require "kind" fields) in
       match kind with
       | "chain" -> (
-          let alpha =
-            Array.of_list (as_int_list "alpha" (require "alpha" fields))
-          in
-          let beta =
-            Array.of_list (as_int_list "beta" (require "beta" fields))
-          in
+          let alpha = as_int_array "alpha" (require "alpha" fields) in
+          let beta = as_int_array "beta" (require "beta" fields) in
           match Chain.of_owned ~alpha ~beta with
           | chain -> Io.Chain_instance chain
           | exception Invalid_argument msg -> reject "bad chain: %s" msg)
       | "tree" -> (
-          let weights =
-            Array.of_list (as_int_list "weights" (require "weights" fields))
+          let weights = as_int_array "weights" (require "weights" fields) in
+          let not_pairs () =
+            reject
+              "field \"parents\" must be an array of [parent, delta] integer \
+               pairs"
           in
           let parents =
             match require "parents" fields with
@@ -148,12 +150,12 @@ let parse_instance = function
                 Array.of_list
                   (List.map
                      (function
-                       | Json.List [ Json.Int p; Json.Int d ] -> (p, d)
-                       | _ ->
-                           reject
-                             "field \"parents\" must be an array of \
-                              [parent, delta] integer pairs")
+                       | Json.Ints [| p; d |]
+                       | Json.List [ Json.Int p; Json.Int d ] ->
+                           (p, d)
+                       | _ -> not_pairs ())
                      items)
+            | Json.Ints _ -> not_pairs ()
             | _ -> reject "field \"parents\" must be an array"
           in
           match Tree.of_parents ~weights ~parents with
@@ -185,6 +187,11 @@ let parse_partition_algorithm params =
    delta.  Range and positivity are checked at apply time against the
    session's current weights, not here. *)
 let parse_deltas params =
+  let not_triples () =
+    reject
+      "field \"deltas\" must be an array of [\"vertex\" | \"edge\", index, \
+       delta] triples"
+  in
   match require "deltas" params with
   | Json.List items ->
       let deltas =
@@ -194,14 +201,12 @@ let parse_deltas params =
                 Tlp_core.Incremental.Vertex (i, d)
             | Json.List [ Json.String "edge"; Json.Int j; Json.Int d ] ->
                 Tlp_core.Incremental.Edge (j, d)
-            | _ ->
-                reject
-                  "field \"deltas\" must be an array of [\"vertex\" | \
-                   \"edge\", index, delta] triples")
+            | _ -> not_triples ())
           items
       in
       if deltas = [] then reject "field \"deltas\" must be non-empty";
       deltas
+  | Json.Ints _ -> not_triples ()
   | _ -> reject "field \"deltas\" must be an array"
 
 let parse_method meth params =
@@ -216,7 +221,7 @@ let parse_method meth params =
       let ks =
         List.map
           (positive "k_values")
-          (as_int_list "k_values" (require "k_values" params))
+          (Array.to_list (as_int_array "k_values" (require "k_values" params)))
       in
       if ks = [] then reject "field \"k_values\" must be non-empty";
       let algorithm =
@@ -318,7 +323,7 @@ let parse_request doc =
   | exception Reject err -> Error (id, err)
 
 let parse_frame line =
-  match Json.parse line with
+  match Json.parse ~int_arrays:true line with
   | Error msg -> Error (Json.Null, bad_request ("malformed JSON frame: " ^ msg))
   | Ok doc -> parse_request doc
 

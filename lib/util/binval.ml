@@ -32,6 +32,13 @@ let rec write buf (v : Json_out.t) =
   | Json_out.Int i ->
       Bytebuf.add_u8 buf 3;
       Bytebuf.add_zigzag buf i
+  | Json_out.Ints a ->
+      Bytebuf.add_u8 buf 6;
+      Bytebuf.add_varint buf (Array.length a);
+      for i = 0 to Array.length a - 1 do
+        Bytebuf.add_u8 buf 3;
+        Bytebuf.add_zigzag buf (Array.unsafe_get a i)
+      done
   | Json_out.Float f ->
       Bytebuf.add_u8 buf 4;
       let bits = Int64.bits_of_float f in

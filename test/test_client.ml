@@ -295,6 +295,39 @@ let test_live_deadline_times_out () =
       | Error e ->
           Alcotest.failf "expected timeout, got %s" (Client.error_to_string e))
 
+(* The receive timeout is set only when it changes: deadline-free calls
+   leave the socket at 0, a deadline call re-arms it before its reads,
+   and the next deadline-free call clears what that call left behind. *)
+let test_live_timeout_rearmed_only_on_change () =
+  with_server ~debug:true (fun port ->
+      let client = Client.create ~port ~rng:(Rng.create 3) () in
+      let sleep ?deadline_ms ms =
+        Client.call client ?deadline_ms ~meth:"sleep"
+          ~params:(Json.Obj [ ("ms", Json.Int ms) ])
+          ()
+      in
+      let ok label = function
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: %s" label (Client.error_to_string e)
+      in
+      ok "deadline-free health" (Client.call client ~meth:"health" ());
+      ok "deadline-free sleep" (sleep 10);
+      (* Leaves a timeout of at most 150 ms on the socket. *)
+      ok "deadline health"
+        (Client.call client ~deadline_ms:150 ~meth:"health" ());
+      ok "deadline-free sleep past the stale timeout" (sleep 400);
+      check_int "one connection so far" 1 (Client.connections client);
+      (match sleep ~deadline_ms:80 2_000 with
+      | Error (Client.Timeout _) -> ()
+      | Ok _ -> Alcotest.fail "sleep answered within the deadline"
+      | Error e ->
+          Alcotest.failf "expected timeout, got %s" (Client.error_to_string e));
+      check_int "timeout came on the reused connection" 1
+        (Client.connections client);
+      ok "deadline-free sleep on the new connection" (sleep 200);
+      check_int "re-dialed once" 2 (Client.connections client);
+      Client.close client)
+
 let suite =
   [
     Alcotest.test_case "backoff: schedule deterministic" `Quick
@@ -321,4 +354,6 @@ let suite =
       test_live_dead_port_is_transport;
     Alcotest.test_case "client: live deadline" `Quick
       test_live_deadline_times_out;
+    Alcotest.test_case "client: timeout set only on change" `Quick
+      test_live_timeout_rearmed_only_on_change;
   ]

@@ -216,6 +216,47 @@ let test_ksweep_deque_agrees_with_hitting () =
   check_bool "deque and hitting sweeps agree" true
     (weights Ksweep.Deque = weights Ksweep.Hitting)
 
+(* [tlp_cli sweep]'s text table names the K of every row, an
+   infeasible one included, in the sweep's sorted, deduplicated order.
+   The binary sits next to this test's own directory in the build
+   tree. *)
+let test_cli_sweep_text_names_infeasible_k () =
+  let cli =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/tlp_cli.exe")
+  in
+  let instance = Filename.temp_file "tlp_sweep" ".txt" in
+  Out_channel.with_open_text instance (fun oc ->
+      output_string oc "chain\n12 7 9 14 6\n40 3 25 8\n");
+  let ic =
+    Unix.open_process_args_in cli
+      [| cli; "sweep"; "-i"; instance; "--k-values"; "48,5,21"; "-a"; "deque" |]
+  in
+  let output = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  Sys.remove instance;
+  check_bool "sweep exits 0" true (status = Unix.WEXITED 0);
+  let rows =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char '|' line with
+        | "" :: cells -> (
+            match List.map String.trim cells with
+            | "K" :: _ -> None
+            | k :: cells -> Some (k, cells)
+            | [] -> None)
+        | _ -> None)
+      (String.split_on_char '\n' output)
+  in
+  Alcotest.(check (list string))
+    "K column" [ "5"; "21"; "48" ] (List.map fst rows);
+  let infeasible (_, cells) =
+    List.mem "infeasible: vertex 0 has weight 12 > bound K=5" cells
+  in
+  check_bool "K=5 is the infeasible row" true
+    (List.map infeasible rows = [ true; false; false ])
+
 let suite =
   [
     Alcotest.test_case "parallel_map preserves input order" `Quick
@@ -242,4 +283,6 @@ let suite =
       test_ksweep_parallel_equals_sequential;
     Alcotest.test_case "deque and hitting sweeps agree" `Quick
       test_ksweep_deque_agrees_with_hitting;
+    Alcotest.test_case "tlp_cli sweep text names the infeasible K" `Quick
+      test_cli_sweep_text_names_infeasible_k;
   ]
