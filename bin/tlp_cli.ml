@@ -9,13 +9,14 @@
 
 open Cmdliner
 module Chain = Tlp_graph.Chain
-module Tree = Tlp_graph.Tree
 module Weights = Tlp_graph.Weights
 module Io = Tlp_graph.Instance_io
 module Rng = Tlp_util.Rng
 module Texttab = Tlp_util.Texttab
 module Metrics = Tlp_util.Metrics
 module Json = Tlp_util.Json_out
+module Partition = Tlp_engine.Partition
+module Ksweep = Tlp_engine.Ksweep
 
 (* ---------- shared arguments ---------- *)
 
@@ -75,8 +76,6 @@ let emit mode metrics ~json_fields ~text =
   | None -> text ()
 
 let json_cut cut = Json.List (List.map (fun e -> Json.Int e) cut)
-
-let json_ints xs = Json.List (List.map (fun x -> Json.Int x) xs)
 
 let fail msg =
   prerr_endline ("error: " ^ msg);
@@ -146,17 +145,6 @@ let generate_cmd =
 
 (* ---------- partition ---------- *)
 
-let assignment_of_chain_cut chain cut =
-  let n = Chain.n chain in
-  let a = Array.make n 0 in
-  List.iteri
-    (fun bi (i, j) ->
-      for v = i to j do
-        a.(v) <- bi
-      done)
-    (Chain.components chain cut);
-  a
-
 let write_dot dot contents =
   match dot with
   | None -> ()
@@ -166,208 +154,54 @@ let write_dot dot contents =
       (* stderr so that [--metrics json] output stays a single document *)
       Printf.eprintf "dot written to %s\n" path
 
-let print_chain_solution name cut weight chain k =
-  Printf.printf "algorithm: %s\n" name;
-  Printf.printf "cut edges: [%s]\n"
-    (String.concat "; " (List.map string_of_int cut));
-  Printf.printf "cut weight: %d\n" weight;
-  Printf.printf "components: %d\n" (List.length cut + 1);
-  Printf.printf "component weights: [%s]\n"
-    (String.concat "; "
-       (List.map string_of_int (Chain.component_weights chain cut)));
-  Printf.printf "feasible: %b\n" (Chain.is_feasible chain ~k cut)
+(* The shared dispatch ([Tlp_engine.Partition], also behind the
+   server's [partition]): the cut and its result document, or exit 1
+   with the message the server would answer. *)
+let solve ?metrics instance ~k objective =
+  match Partition.solve ?metrics instance ~k ~objective with
+  | Partition.Solved { cut; doc } -> (cut, doc)
+  | Partition.Infeasible e -> fail (Tlp_core.Infeasible.to_string e)
+  | Partition.Unsupported msg -> fail msg
 
-let partition algorithm path k dot metrics_mode =
+let doc_fields = function Json.Obj fields -> fields | _ -> []
+
+let doc_int doc name =
+  match List.assoc_opt name (doc_fields doc) with
+  | Some (Json.Int i) -> i
+  | _ -> invalid_arg ("result document has no integer " ^ name)
+
+let partition objective path k dot metrics_mode =
   let metrics =
     match metrics_mode with Some _ -> Metrics.create () | None -> Metrics.null
   in
-  let emit = emit metrics_mode metrics in
-  match (load_instance path, algorithm) with
-  | Io.Chain_instance chain, `Bandwidth -> (
-      match Tlp_core.Bandwidth_hitting.solve ~metrics chain ~k with
-      | Ok { Tlp_core.Bandwidth_hitting.cut; weight; stats } ->
-          write_dot dot
-            (Tlp_graph.Dot.of_chain
-               ~assignment:(assignment_of_chain_cut chain cut) chain);
-          emit
-            ~json_fields:
-              [
-                ("algorithm", Json.String "bandwidth (TEMP_S)");
-                ("cut", json_cut cut);
-                ("weight", Json.Int weight);
-                ("components", Json.Int (List.length cut + 1));
-                ( "component_weights",
-                  json_ints (Chain.component_weights chain cut) );
-                ("primes", Json.Int stats.Tlp_core.Bandwidth_hitting.p);
-                ("groups", Json.Int stats.Tlp_core.Bandwidth_hitting.r);
-                ("q_mean", Json.Float stats.Tlp_core.Bandwidth_hitting.q_mean);
-              ]
-            ~text:(fun () ->
-              print_chain_solution "bandwidth (TEMP_S)" cut weight chain k;
-              Printf.printf "primes: %d, groups: %d, q: %.2f\n"
-                stats.Tlp_core.Bandwidth_hitting.p
-                stats.Tlp_core.Bandwidth_hitting.r
-                stats.Tlp_core.Bandwidth_hitting.q_mean)
-      | Error e -> fail (Tlp_core.Infeasible.to_string e))
-  | Io.Chain_instance chain, `Bottleneck -> (
-      match Tlp_core.Chain_bottleneck.solve ~metrics chain ~k with
-      | Ok { Tlp_core.Chain_bottleneck.cut; bottleneck } ->
-          write_dot dot
-            (Tlp_graph.Dot.of_chain
-               ~assignment:(assignment_of_chain_cut chain cut) chain);
-          emit
-            ~json_fields:
-              [
-                ("algorithm", Json.String "chain bottleneck");
-                ("cut", json_cut cut);
-                ("weight", Json.Int (Chain.cut_weight chain cut));
-                ("bottleneck", Json.Int bottleneck);
-                ("components", Json.Int (List.length cut + 1));
-              ]
-            ~text:(fun () ->
-              print_chain_solution "chain bottleneck" cut
-                (Chain.cut_weight chain cut) chain k;
-              Printf.printf "bottleneck: %d\n" bottleneck)
-      | Error e -> fail (Tlp_core.Infeasible.to_string e))
-  | Io.Chain_instance chain, (`Procmin | `Pipeline) -> (
-      (* A chain is a tree; run the tree pipeline on it. *)
-      let t = Tree.of_chain chain in
-      match Tlp_core.Tree_pipeline.partition ~metrics t ~k with
-      | Ok r ->
-          emit
-            ~json_fields:
-              [
-                ("algorithm", Json.String "tree pipeline on chain");
-                ("cut", json_cut r.Tlp_core.Tree_pipeline.cut);
-                ( "components",
-                  Json.Int r.Tlp_core.Tree_pipeline.n_components );
-                ("bottleneck", Json.Int r.Tlp_core.Tree_pipeline.bottleneck);
-                ("bandwidth", Json.Int r.Tlp_core.Tree_pipeline.bandwidth);
-              ]
-            ~text:(fun () ->
-              Printf.printf "algorithm: tree pipeline on chain\n";
-              Printf.printf "components: %d (bottleneck %d, bandwidth %d)\n"
-                r.Tlp_core.Tree_pipeline.n_components
-                r.Tlp_core.Tree_pipeline.bottleneck
-                r.Tlp_core.Tree_pipeline.bandwidth)
-      | Error e -> fail (Tlp_core.Infeasible.to_string e))
-  | Io.Tree_instance t, `Bottleneck -> (
-      match Tlp_core.Bottleneck.fast ~metrics t ~k with
-      | Ok { Tlp_core.Bottleneck.cut; bottleneck } ->
-          emit
-            ~json_fields:
-              [
-                ("algorithm", Json.String "tree bottleneck (Alg 2.1)");
-                ("cut", json_cut cut);
-                ("bottleneck", Json.Int bottleneck);
-                ("components", Json.Int (List.length cut + 1));
-              ]
-            ~text:(fun () ->
-              Printf.printf "algorithm: tree bottleneck (Alg 2.1)\n";
-              Printf.printf "cut edges: [%s]\n"
-                (String.concat "; " (List.map string_of_int cut));
-              Printf.printf "bottleneck: %d\ncomponents: %d\n" bottleneck
-                (List.length cut + 1))
-      | Error e -> fail (Tlp_core.Infeasible.to_string e))
-  | Io.Tree_instance t, `Procmin -> (
-      match Tlp_core.Proc_min.solve ~metrics t ~k with
-      | Ok { Tlp_core.Proc_min.cut; n_components } ->
-          emit
-            ~json_fields:
-              [
-                ( "algorithm",
-                  Json.String "processor minimization (Alg 2.2)" );
-                ("cut", json_cut cut);
-                ("components", Json.Int n_components);
-                ( "component_weights",
-                  json_ints (Tree.component_weights t cut) );
-              ]
-            ~text:(fun () ->
-              Printf.printf "algorithm: processor minimization (Alg 2.2)\n";
-              Printf.printf "cut edges: [%s]\n"
-                (String.concat "; " (List.map string_of_int cut));
-              Printf.printf "components: %d\n" n_components;
-              Printf.printf "component weights: [%s]\n"
-                (String.concat "; "
-                   (List.map string_of_int (Tree.component_weights t cut))))
-      | Error e -> fail (Tlp_core.Infeasible.to_string e))
-  | Io.Tree_instance t, `Pipeline -> (
-      match Tlp_core.Tree_pipeline.partition ~metrics t ~k with
-      | Ok r ->
-          write_dot dot
-            (Tlp_graph.Dot.of_tree
-               ~assignment:
-                 (Tlp_core.Tree_pipeline.assignment t
-                    r.Tlp_core.Tree_pipeline.cut)
-               t);
-          emit
-            ~json_fields:
-              [
-                ( "algorithm",
-                  Json.String "full pipeline (bottleneck + proc-min)" );
-                ("cut", json_cut r.Tlp_core.Tree_pipeline.cut);
-                ("bottleneck", Json.Int r.Tlp_core.Tree_pipeline.bottleneck);
-                ("bandwidth", Json.Int r.Tlp_core.Tree_pipeline.bandwidth);
-                ( "components",
-                  Json.Int r.Tlp_core.Tree_pipeline.n_components );
-                ( "raw_components",
-                  Json.Int r.Tlp_core.Tree_pipeline.raw_components );
-              ]
-            ~text:(fun () ->
-              Printf.printf
-                "algorithm: full pipeline (bottleneck + proc-min)\n";
-              Printf.printf "cut edges: [%s]\n"
-                (String.concat "; "
-                   (List.map string_of_int r.Tlp_core.Tree_pipeline.cut));
-              Printf.printf
-                "bottleneck: %d\nbandwidth: %d\ncomponents: %d (raw %d)\n"
-                r.Tlp_core.Tree_pipeline.bottleneck
-                r.Tlp_core.Tree_pipeline.bandwidth
-                r.Tlp_core.Tree_pipeline.n_components
-                r.Tlp_core.Tree_pipeline.raw_components)
-      | Error e -> fail (Tlp_core.Infeasible.to_string e))
-  | Io.Tree_instance t, `Bandwidth -> (
-      (* NP-complete in general (Theorem 1); exact for stars. *)
-      match Tlp_core.Star_bandwidth.center t with
-      | Some _ -> (
-          match Tlp_core.Star_bandwidth.solve t ~k with
-          | Ok { Tlp_core.Star_bandwidth.cut; weight; _ } ->
-              emit
-                ~json_fields:
-                  [
-                    ( "algorithm",
-                      Json.String "star bandwidth (knapsack reduction)" );
-                    ("cut", json_cut cut);
-                    ("weight", Json.Int weight);
-                  ]
-                ~text:(fun () ->
-                  Printf.printf
-                    "algorithm: star bandwidth (knapsack reduction)\n";
-                  Printf.printf "cut edges: [%s]\ncut weight: %d\n"
-                    (String.concat "; " (List.map string_of_int cut))
-                    weight)
-          | Error e -> fail (Tlp_core.Infeasible.to_string e))
-      | None ->
-          fail
-            "bandwidth minimization on general trees is NP-complete \
-             (Theorem 1); only stars are solved exactly — use 'pipeline' \
-             for the bottleneck+proc-min composition")
+  let instance = load_instance path in
+  let cut, doc = solve ~metrics instance ~k objective in
+  (match (instance, objective) with
+  | Io.Chain_instance chain, (Partition.Bandwidth | Partition.Bottleneck) ->
+      write_dot dot
+        (Tlp_graph.Dot.of_chain ~assignment:(Chain.assignment chain cut) chain)
+  | Io.Tree_instance t, Partition.Pipeline ->
+      write_dot dot
+        (Tlp_graph.Dot.of_tree
+           ~assignment:(Tlp_core.Tree_pipeline.assignment t cut)
+           t)
+  | _ -> ());
+  (* Text mode prints the document itself, one [field: value] line per
+     field: strings bare, everything else as its JSON. *)
+  emit metrics_mode metrics ~json_fields:(doc_fields doc) ~text:(fun () ->
+      List.iter
+        (fun (name, v) ->
+          Printf.printf "%s: %s\n" name
+            (match v with Json.String s -> s | v -> Json.to_string v))
+        (doc_fields doc))
 
 let partition_cmd =
-  let algorithm =
+  let objective =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("bandwidth", `Bandwidth);
-               ("bottleneck", `Bottleneck);
-               ("procmin", `Procmin);
-               ("pipeline", `Pipeline);
-             ])
-          `Bandwidth
+      & opt (enum Partition.objectives) Partition.Bandwidth
       & info [ "algorithm"; "a" ] ~docv:"ALGO"
-          ~doc:"bandwidth | bottleneck | procmin | pipeline.")
+          ~doc:(String.concat " | " (List.map fst Partition.objectives) ^ "."))
   in
   let dot =
     Arg.(
@@ -379,7 +213,7 @@ let partition_cmd =
   Cmd.v
     (Cmd.info "partition" ~doc:"Partition an instance under bound K")
     Term.(
-      const partition $ algorithm $ instance_arg $ k_arg $ dot $ metrics_arg)
+      const partition $ objective $ instance_arg $ k_arg $ dot $ metrics_arg)
 
 (* ---------- stats ---------- *)
 
@@ -394,10 +228,12 @@ let stats path ks =
     let n = float_of_int (Chain.n chain) in
     n *. (log n /. log 2.0)
   in
+  let sweep = Ksweep.create chain in
   List.iter
     (fun k ->
-      match Tlp_core.Bandwidth_hitting.solve chain ~k with
-      | Ok { Tlp_core.Bandwidth_hitting.weight; stats = s; _ } ->
+      match Ksweep.solve sweep ~algorithm:Ksweep.Hitting ~k with
+      | Ok { Ksweep.weight; stats; _ } ->
+          let s = Option.get stats in
           let plogq =
             float_of_int s.Tlp_core.Bandwidth_hitting.p
             *. (log (Stdlib.max 2.0 s.Tlp_core.Bandwidth_hitting.q_mean)
@@ -434,7 +270,6 @@ let stats_cmd =
 (* ---------- sweep ---------- *)
 
 let sweep path ks algorithm jobs metrics_mode =
-  let module Ksweep = Tlp_engine.Ksweep in
   let chain = load_chain path in
   let metrics =
     match metrics_mode with Some _ -> Metrics.create () | None -> Metrics.null
@@ -502,10 +337,10 @@ let sweep_cmd =
       & opt
           (enum
              [
-               ("deque", Tlp_engine.Ksweep.Deque);
-               ("hitting", Tlp_engine.Ksweep.Hitting);
+               ("deque", Ksweep.Deque);
+               ("hitting", Ksweep.Hitting);
              ])
-          Tlp_engine.Ksweep.Hitting
+          Ksweep.Hitting
       & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"deque | hitting.")
   in
   Cmd.v
@@ -523,11 +358,7 @@ let simulate path k processors bandwidth jobs interconnect metrics_mode =
   let metrics =
     match metrics_mode with Some _ -> Metrics.create () | None -> Metrics.null
   in
-  let cut =
-    match Tlp_core.Bandwidth_hitting.solve ~metrics chain ~k with
-    | Ok { Tlp_core.Bandwidth_hitting.cut; _ } -> cut
-    | Error e -> fail (Tlp_core.Infeasible.to_string e)
-  in
+  let cut, _ = solve ~metrics (Io.Chain_instance chain) ~k Partition.Bandwidth in
   let machine =
     Tlp_archsim.Machine.make ~interconnect ~bandwidth ~processors ()
   in
@@ -630,20 +461,14 @@ let dual_cmd =
 let tree_simulate path k processors =
   match load_instance path with
   | Io.Chain_instance _ -> fail "expected a tree instance"
-  | Io.Tree_instance t -> (
-      match Tlp_core.Tree_pipeline.partition t ~k with
-      | Error e -> fail (Tlp_core.Infeasible.to_string e)
-      | Ok r ->
-          let machine = Tlp_archsim.Machine.make ~processors () in
-          let report =
-            Tlp_archsim.Tree_sim.run ~machine ~tree:t
-              ~cut:r.Tlp_core.Tree_pipeline.cut ()
-          in
-          Printf.printf "components: %d (bottleneck %d, bandwidth %d)\n"
-            r.Tlp_core.Tree_pipeline.n_components
-            r.Tlp_core.Tree_pipeline.bottleneck
-            r.Tlp_core.Tree_pipeline.bandwidth;
-          Format.printf "%a@." Tlp_archsim.Tree_sim.pp_report report)
+  | Io.Tree_instance t as instance ->
+      let cut, doc = solve instance ~k Partition.Pipeline in
+      let machine = Tlp_archsim.Machine.make ~processors () in
+      let report = Tlp_archsim.Tree_sim.run ~machine ~tree:t ~cut () in
+      Printf.printf "components: %d (bottleneck %d, bandwidth %d)\n"
+        (doc_int doc "components") (doc_int doc "bottleneck")
+        (doc_int doc "bandwidth");
+      Format.printf "%a@." Tlp_archsim.Tree_sim.pp_report report
 
 let tree_simulate_cmd =
   let processors =

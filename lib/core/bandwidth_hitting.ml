@@ -82,15 +82,12 @@ module Workspace = struct
     end
 end
 
-(* Fill [ws.pa]/[ws.pb] with the prime subpaths of [chain] at [k] (as
-   inclusive edge ranges) and return their count.  Same two-pointer
+(* Fill [pa]/[pb] with the prime subpaths of [alpha.(0 .. n-1)] at [k]
+   (as inclusive edge ranges) and return their count.  Same two-pointer
    computation as [Prime_subpaths.compute] — differentially tested
    against it — but writing into reused buffers with zero allocation.
    Precondition: no single vertex exceeds [k]. *)
-let discover_primes ws chain ~k =
-  let n = Chain.n chain in
-  let alpha = chain.Chain.alpha in
-  let pa = ws.Workspace.pa and pb = ws.Workspace.pb in
+let scan_primes alpha ~n ~k ~pa ~pb =
   let np = ref 0 in
   let r = ref 0 in
   let sum = ref 0 in
@@ -118,6 +115,10 @@ let discover_primes ws chain ~k =
   done;
   !np
 
+let scan_primes_ws ws chain ~k =
+  scan_primes chain.Chain.alpha ~n:(Chain.n chain) ~k ~pa:ws.Workspace.pa
+    ~pb:ws.Workspace.pb
+
 let prime_ranges ?workspace chain ~k =
   match Infeasible.check_chain chain ~k with
   | Error e -> Error e
@@ -130,7 +131,7 @@ let prime_ranges ?workspace chain ~k =
             ws
         | None -> Workspace.create n
       in
-      let p = discover_primes ws chain ~k in
+      let p = scan_primes_ws ws chain ~k in
       Ok (Array.init p (fun i -> (ws.Workspace.pa.(i), ws.Workspace.pb.(i))))
 
 (* The TEMP_S dynamic program over an already-discovered prime set.
@@ -351,7 +352,7 @@ let solve ?(metrics = Metrics.null) ?(search = Binary) ?workspace chain ~k =
         | None -> Workspace.create n
       in
       Metrics.add metrics "prime_scan_vertices" n;
-      let p = discover_primes ws chain ~k in
+      let p = scan_primes_ws ws chain ~k in
       Metrics.add metrics "primes_found" p;
       Ok
         (dp ~metrics ~search ws ~p

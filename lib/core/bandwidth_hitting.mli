@@ -88,6 +88,15 @@ val solve :
     identical solutions (property-tested), differing only in probe
     counts.  Without [workspace] a fresh one is allocated for the call. *)
 
+val scan_primes :
+  int array -> n:int -> k:int -> pa:int array -> pb:int array -> int
+(** [scan_primes alpha ~n ~k ~pa ~pb] writes the prime subpaths of the
+    vertex weights [alpha.(0 .. n-1)] at [k] into [pa]/[pb] (first and
+    last edge of each, left to right) and returns their count.  The
+    one monotone two-pointer behind {!solve}, {!prime_ranges} and the
+    incremental resolver's full rescan; it allocates nothing.  [pa] and
+    [pb] need room for [n] entries; no vertex may exceed [k]. *)
+
 val prime_ranges :
   ?workspace:Workspace.t ->
   Tlp_graph.Chain.t ->

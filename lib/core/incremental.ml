@@ -329,28 +329,8 @@ let apply t deltas =
         applied;
       Error msg
 
-(* Identical two-pointer to Bandwidth_hitting.discover_primes, run over
-   the current weights into the K-state's arrays. *)
 let full_rescan t st ~k =
-  let np = ref 0 and r = ref 0 and sum = ref 0 in
-  for l = 0 to t.n - 1 do
-    while !r < t.n && !sum <= k do
-      sum := !sum + t.alpha.(!r);
-      incr r
-    done;
-    if !sum > k then begin
-      let b = !r - 2 in
-      if !np > 0 && st.pb.(!np - 1) = b then st.pa.(!np - 1) <- l
-      else begin
-        st.pa.(!np) <- l;
-        st.pb.(!np) <- b;
-        incr np
-      end;
-      sum := !sum - t.alpha.(l)
-    end
-    else if !r > l then sum := !sum - t.alpha.(l)
-  done;
-  st.p <- !np
+  st.p <- Bandwidth_hitting.scan_primes t.alpha ~n:t.n ~k ~pa:st.pa ~pb:st.pb
 
 (* Dirty windows of prime starts after the pending alpha updates.  A
    start l is affected by an update at vertex v iff l <= v and

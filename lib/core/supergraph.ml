@@ -58,14 +58,7 @@ let linearize ?(src = 0) g =
   }
 
 let assignment_of_cut t cut =
-  let n_levels = Chain.n t.chain in
-  let block_of_level = Array.make n_levels 0 in
-  List.iteri
-    (fun bi (lo, hi) ->
-      for l = lo to hi do
-        block_of_level.(l) <- bi
-      done)
-    (Chain.components t.chain cut);
+  let block_of_level = Chain.assignment t.chain cut in
   Array.map (fun l -> block_of_level.(l)) t.level_of_vertex
 
 let partition ?src g ~k =

@@ -51,19 +51,6 @@ let check (config : config) =
   | Some k -> require (k >= 1) "k must be >= 1"
   | None -> ()
 
-(* Block index per vertex for a cut: component [b] of the cut hosts the
-   vertices of its inclusive range, mirroring the block-per-processor
-   placement every simulator here uses. *)
-let assignment_of_cut chain cut =
-  let assign = Array.make (Chain.n chain) 0 in
-  List.iteri
-    (fun b (lo, hi) ->
-      for v = lo to hi do
-        assign.(v) <- b
-      done)
-    (Chain.components chain cut);
-  assign
-
 (* One drift step against the plan-side weight copies: magnitude in
    [1, max_weight], sign chosen only when the weight stays positive —
    the same walk tlp_load --drift drives over the wire. *)
@@ -122,7 +109,7 @@ let run rng (config : config) =
     | Ok (solution, mode) ->
         let cut = solution.Tlp_core.Bandwidth_hitting.cut in
         let current = Incr.chain incr in
-        let assign = assignment_of_cut current cut in
+        let assign = Chain.assignment current cut in
         let migrated = ref 0 and migrated_weight = ref 0 in
         Array.iteri
           (fun v b ->

@@ -68,6 +68,13 @@ let components c cut =
   in
   go 0 cut
 
+let assignment c cut =
+  let a = Array.make (n c) 0 in
+  List.iteri
+    (fun b (lo, hi) -> Array.fill a lo (hi - lo + 1) b)
+    (components c cut);
+  a
+
 let component_weights c cut =
   List.map (fun (i, j) -> segment_weight c i j) (components c cut)
 

@@ -60,6 +60,12 @@ val max_cut_edge : t -> cut -> int
 val components : t -> cut -> (int * int) list
 (** Inclusive vertex ranges of the components, left to right. *)
 
+val assignment : t -> cut -> int array
+(** Component index of every vertex: component [b] (counting from 0,
+    left to right) holds the vertices of its inclusive range — the
+    block-per-processor placement of the simulators and the DOT
+    colouring. *)
+
 val component_weights : t -> cut -> int list
 
 val is_valid_cut : t -> cut -> bool

@@ -89,7 +89,8 @@ let settle race ~fired ~failover ~winner value =
   release race;
   { value; winner; fired; failover; cancelled }
 
-let race ?secondary ~delay_s primary =
+(* Both arms race on their own threads; the caller coordinates. *)
+let race_two ~secondary ~delay_s primary =
   let notify_r, notify_w = Unix.pipe ~cloexec:true () in
   let race =
     {
@@ -109,34 +110,21 @@ let race ?secondary ~delay_s primary =
   let rec before_delay deadline =
     match read_slots () with
     | Done (Good, v), _ -> settle race ~fired:false ~failover:false ~winner:`Primary v
-    | Done (Bad, v), _ -> (
+    | Done (Bad, _), _ ->
         (* Primary failed outright: this is failover, not a hedge —
-           fire the secondary immediately (if there is one). *)
-        match secondary with
-        | None -> settle race ~fired:false ~failover:false ~winner:`Primary v
-        | Some s ->
-            start_arm race ~secondary:true s;
-            failover_wait ())
+           fire the secondary immediately. *)
+        start_arm race ~secondary:true secondary;
+        failover_wait ()
     | Pending, _ ->
         let left = deadline -. Tlp_util.Timer.now () in
         if left <= 0.0 then begin
-          match secondary with
-          | None -> primary_only ()
-          | Some s ->
-              start_arm race ~secondary:true s;
-              hedged_wait ()
+          start_arm race ~secondary:true secondary;
+          hedged_wait ()
         end
         else begin
           ignore (await race ~timeout_s:left : bool);
           before_delay deadline
         end
-  (* No secondary exists: just wait the primary out. *)
-  and primary_only () =
-    match read_slots () with
-    | Done (_, v), _ -> settle race ~fired:false ~failover:false ~winner:`Primary v
-    | Pending, _ ->
-        ignore (await race ~timeout_s:(-1.0) : bool);
-        primary_only ()
   (* Primary already failed; the secondary's answer is the answer. *)
   and failover_wait () =
     match read_slots () with
@@ -156,9 +144,18 @@ let race ?secondary ~delay_s primary =
         ignore (await race ~timeout_s:(-1.0) : bool);
         hedged_wait ()
   in
-  if delay_s <= 0.0 && secondary <> None then begin
+  if delay_s <= 0.0 then begin
     (* Zero delay: both arms launch together. *)
-    (match secondary with Some s -> start_arm race ~secondary:true s | None -> ());
+    start_arm race ~secondary:true secondary;
     hedged_wait ()
   end
   else before_delay (Tlp_util.Timer.now () +. delay_s)
+
+let race ?secondary ~delay_s primary =
+  match secondary with
+  | Some secondary -> race_two ~secondary ~delay_s primary
+  | None ->
+      (* Nothing to hedge against: run the primary here, on the
+         caller's thread — no pipe, no thread. *)
+      let _, value = primary () in
+      { value; winner = `Primary; fired = false; failover = false; cancelled = 0 }

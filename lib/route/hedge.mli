@@ -41,7 +41,8 @@ val race :
   (unit -> outcome * 'a) ->
   'a verdict
 (** [race ?secondary ~delay_s primary] — run the race to a verdict.
-    Without a [secondary] this degenerates to running [primary] to
-    completion.  [delay_s <= 0.] with a secondary launches both arms
-    immediately.  Thunks run on their own threads and must not raise;
-    wrap failures into [Bad] values. *)
+    Without a [secondary] this is a plain call: [primary] runs on the
+    caller's thread (no pipe, no thread), whatever its outcome.
+    [delay_s <= 0.] with a secondary launches both arms immediately.
+    With a secondary, thunks run on their own threads and must not
+    raise; wrap failures into [Bad] values. *)

@@ -13,7 +13,6 @@ type 'a node = {
 
 type 'a t = {
   cap : int;
-  aging_bound : int;
   mutex : Mutex.t;
   nonempty : Condition.t;
   (* Two EDF heaps, one per priority class.  Interactive preempts batch
@@ -28,7 +27,9 @@ type 'a t = {
   mutable is_closed : bool;
 }
 
-let default_aging_bound = 8
+(* Batch anti-starvation bound: at most this many consecutive
+   interactive pops while a batch request waits. *)
+let aging_bound_pops = 8
 
 let fresh_node () = { item = None; deadline = infinity; seq = 0 }
 
@@ -39,12 +40,11 @@ let cmp_node a b =
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
-let create ?(aging_bound = default_aging_bound) ~capacity () =
+let create ~capacity () =
   let cap = Stdlib.max capacity 1 in
   let dummy = fresh_node () in
   {
     cap;
-    aging_bound = Stdlib.max aging_bound 1;
     mutex = Mutex.create ();
     nonempty = Condition.create ();
     interactive = Fixed_heap.create ~capacity:cap ~cmp:cmp_node ~dummy;
@@ -57,7 +57,7 @@ let create ?(aging_bound = default_aging_bound) ~capacity () =
   }
 
 let capacity t = t.cap
-let aging_bound t = t.aging_bound
+let aging_bound (_ : 'a t) = aging_bound_pops
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -116,7 +116,7 @@ let choose t =
       Fixed_heap.pop t.interactive
     end
     else if
-      Fixed_heap.is_empty t.interactive || t.batch_bypass >= t.aging_bound
+      Fixed_heap.is_empty t.interactive || t.batch_bypass >= aging_bound_pops
     then begin
       t.batch_bypass <- 0;
       Fixed_heap.pop t.batch

@@ -25,16 +25,14 @@
 
 type 'a t
 
-val default_aging_bound : int
-(** Default batch anti-starvation bound (8 consecutive bypasses). *)
-
-val create : ?aging_bound:int -> capacity:int -> unit -> 'a t
-(** [capacity] is clamped to at least 1; [aging_bound] (clamped to at
-    least 1) is the maximum number of consecutive interactive pops
-    while a batch request waits. *)
+val create : capacity:int -> unit -> 'a t
+(** [capacity] is clamped to at least 1. *)
 
 val capacity : 'a t -> int
+
 val aging_bound : 'a t -> int
+(** The batch anti-starvation bound, the same for every queue: at most
+    8 consecutive interactive pops while a batch request waits. *)
 
 val length : 'a t -> int
 (** Current depth across both classes (racy snapshot, for stats). *)

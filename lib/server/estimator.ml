@@ -1,24 +1,16 @@
-type t = {
-  alpha : float;
-  means : (string, float) Hashtbl.t;  (* wire method -> EWMA service ns *)
-}
+(* Wire method -> EWMA service time, ns. *)
+type t = (string, float) Hashtbl.t
 
-let default_alpha = 0.2
+(* EWMA weight of the newest sample (see .mli). *)
+let alpha = 0.2
 
-let create ?(alpha = default_alpha) () =
-  if not (alpha > 0.0 && alpha <= 1.0) then
-    invalid_arg "Estimator.create: alpha must be in (0, 1]";
-  { alpha; means = Hashtbl.create 8 }
+let create () = Hashtbl.create 8
 
 let observe t ~meth ~ns =
   let ns = Stdlib.max 0.0 ns in
-  match Hashtbl.find_opt t.means meth with
-  | None -> Hashtbl.replace t.means meth ns
+  match Hashtbl.find_opt t meth with
+  | None -> Hashtbl.replace t meth ns
   | Some mean ->
-      Hashtbl.replace t.means meth
-        ((t.alpha *. ns) +. ((1.0 -. t.alpha) *. mean))
+      Hashtbl.replace t meth ((alpha *. ns) +. ((1.0 -. alpha) *. mean))
 
-let predict_ns t ~meth =
-  match Hashtbl.find_opt t.means meth with
-  | None -> 0.0
-  | Some mean -> mean
+let predict_ns t ~meth = Option.value ~default:0.0 (Hashtbl.find_opt t meth)

@@ -16,14 +16,10 @@
 
 type t
 
-val default_alpha : float
-(** Smoothing factor for {!create}, 0.2: each new sample contributes a
-    fifth of the new mean, so the estimate tracks drift without being
-    yanked around by one outlier. *)
-
-val create : ?alpha:float -> unit -> t
-(** Fresh estimator.  [alpha] is the EWMA weight of the newest sample,
-    in (0, 1]; @raise Invalid_argument outside that range. *)
+val create : unit -> t
+(** Fresh estimator.  The EWMA weight of the newest sample is 0.2: each
+    sample contributes a fifth of the new mean, so the estimate tracks
+    drift without being yanked around by one outlier. *)
 
 val observe : t -> meth:string -> ns:float -> unit
 (** Fold one completed request's service time (negative values clamp

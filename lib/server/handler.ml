@@ -1,152 +1,21 @@
 module Json = Tlp_util.Json_out
 module Metrics = Tlp_util.Metrics
-module Rng = Tlp_util.Rng
 module Timer = Tlp_util.Timer
 module Chain = Tlp_graph.Chain
-module Tree = Tlp_graph.Tree
 module Io = Tlp_graph.Instance_io
 module Ksweep = Tlp_engine.Ksweep
-
-let json_cut cut = Json.List (List.map (fun e -> Json.Int e) cut)
-let json_ints xs = Json.List (List.map (fun x -> Json.Int x) xs)
+module Partition = Tlp_engine.Partition
 
 let infeasible e =
   Json.Obj [ ("infeasible", Json.String (Tlp_core.Infeasible.to_string e)) ]
 
 (* ---------- partition ---------- *)
 
-(* The chain-bandwidth result document, shared by [partition] and the
-   session [resolve] path: both must emit byte-identical JSON for the
-   same solution, so there is exactly one place that shapes it.
-   [component_weights] is passed in because the two callers derive it
-   differently (from the chain vs from the incremental state's Fenwick
-   prefix sums) — same integers, different source. *)
-let bandwidth_chain_doc ~k ~component_weights
-    (s : Tlp_core.Bandwidth_hitting.solution) =
-  Json.Obj
-    [
-      ("algorithm", Json.String "bandwidth (TEMP_S)");
-      ("k", Json.Int k);
-      ("cut", json_cut s.Tlp_core.Bandwidth_hitting.cut);
-      ("weight", Json.Int s.Tlp_core.Bandwidth_hitting.weight);
-      ( "components",
-        Json.Int (List.length s.Tlp_core.Bandwidth_hitting.cut + 1) );
-      ("component_weights", json_ints component_weights);
-      ( "primes",
-        Json.Int s.Tlp_core.Bandwidth_hitting.stats.Tlp_core.Bandwidth_hitting.p
-      );
-      ( "groups",
-        Json.Int s.Tlp_core.Bandwidth_hitting.stats.Tlp_core.Bandwidth_hitting.r
-      );
-      ( "q_mean",
-        Json.Float
-          s.Tlp_core.Bandwidth_hitting.stats.Tlp_core.Bandwidth_hitting.q_mean
-      );
-    ]
-
-(* Result shapes mirror the CLI's [--metrics json] fields, plus the
-   request's [k] so responses are self-describing. *)
-let partition_result ?(metrics = Metrics.null) ?workspace instance ~k ~algorithm
-    =
-  let common name cut =
-    [
-      ("algorithm", Json.String name);
-      ("k", Json.Int k);
-      ("cut", json_cut cut);
-    ]
-  in
-  match (instance, (algorithm : Protocol.partition_algorithm)) with
-  | Io.Chain_instance chain, Protocol.Bandwidth -> (
-      match Tlp_core.Bandwidth_hitting.solve ~metrics ?workspace chain ~k with
-      | Ok ({ Tlp_core.Bandwidth_hitting.cut; _ } as sol) ->
-          Ok
-            (bandwidth_chain_doc ~k
-               ~component_weights:(Chain.component_weights chain cut)
-               sol)
-      | Error e -> Ok (infeasible e))
-  | Io.Chain_instance chain, Protocol.Bottleneck -> (
-      match Tlp_core.Chain_bottleneck.solve ~metrics chain ~k with
-      | Ok { Tlp_core.Chain_bottleneck.cut; bottleneck } ->
-          Ok
-            (Json.Obj
-               (common "chain bottleneck" cut
-               @ [
-                   ("weight", Json.Int (Chain.cut_weight chain cut));
-                   ("bottleneck", Json.Int bottleneck);
-                   ("components", Json.Int (List.length cut + 1));
-                 ]))
-      | Error e -> Ok (infeasible e))
-  | Io.Chain_instance chain, (Protocol.Procmin | Protocol.Pipeline) -> (
-      (* A chain is a tree; run the tree pipeline on it (as the CLI
-         does). *)
-      match Tlp_core.Tree_pipeline.partition ~metrics (Tree.of_chain chain) ~k with
-      | Ok r ->
-          Ok
-            (Json.Obj
-               (common "tree pipeline on chain" r.Tlp_core.Tree_pipeline.cut
-               @ [
-                   ( "components",
-                     Json.Int r.Tlp_core.Tree_pipeline.n_components );
-                   ("bottleneck", Json.Int r.Tlp_core.Tree_pipeline.bottleneck);
-                   ("bandwidth", Json.Int r.Tlp_core.Tree_pipeline.bandwidth);
-                 ]))
-      | Error e -> Ok (infeasible e))
-  | Io.Tree_instance t, Protocol.Bottleneck -> (
-      match Tlp_core.Bottleneck.fast ~metrics t ~k with
-      | Ok { Tlp_core.Bottleneck.cut; bottleneck } ->
-          Ok
-            (Json.Obj
-               (common "tree bottleneck (Alg 2.1)" cut
-               @ [
-                   ("bottleneck", Json.Int bottleneck);
-                   ("components", Json.Int (List.length cut + 1));
-                 ]))
-      | Error e -> Ok (infeasible e))
-  | Io.Tree_instance t, Protocol.Procmin -> (
-      match Tlp_core.Proc_min.solve ~metrics t ~k with
-      | Ok { Tlp_core.Proc_min.cut; n_components } ->
-          Ok
-            (Json.Obj
-               (common "processor minimization (Alg 2.2)" cut
-               @ [
-                   ("components", Json.Int n_components);
-                   ( "component_weights",
-                     json_ints (Tree.component_weights t cut) );
-                 ]))
-      | Error e -> Ok (infeasible e))
-  | Io.Tree_instance t, Protocol.Pipeline -> (
-      match Tlp_core.Tree_pipeline.partition ~metrics t ~k with
-      | Ok r ->
-          Ok
-            (Json.Obj
-               (common "full pipeline (bottleneck + proc-min)"
-                  r.Tlp_core.Tree_pipeline.cut
-               @ [
-                   ("bottleneck", Json.Int r.Tlp_core.Tree_pipeline.bottleneck);
-                   ("bandwidth", Json.Int r.Tlp_core.Tree_pipeline.bandwidth);
-                   ( "components",
-                     Json.Int r.Tlp_core.Tree_pipeline.n_components );
-                   ( "raw_components",
-                     Json.Int r.Tlp_core.Tree_pipeline.raw_components );
-                 ]))
-      | Error e -> Ok (infeasible e))
-  | Io.Tree_instance t, Protocol.Bandwidth -> (
-      (* NP-complete in general (Theorem 1); exact for stars. *)
-      match Tlp_core.Star_bandwidth.center t with
-      | Some _ -> (
-          match Tlp_core.Star_bandwidth.solve t ~k with
-          | Ok { Tlp_core.Star_bandwidth.cut; weight; _ } ->
-              Ok
-                (Json.Obj
-                   (common "star bandwidth (knapsack reduction)" cut
-                   @ [ ("weight", Json.Int weight) ]))
-          | Error e -> Ok (infeasible e))
-      | None ->
-          Error
-            (Protocol.bad_request
-               "bandwidth minimization on general trees is NP-complete \
-                (Theorem 1); only stars are solved exactly — use algorithm \
-                'pipeline' for the bottleneck+proc-min composition"))
+let partition_result ?metrics ?workspace instance ~k ~algorithm =
+  match Partition.solve ?metrics ?workspace instance ~k ~objective:algorithm with
+  | Partition.Solved { doc; _ } -> Ok doc
+  | Partition.Infeasible e -> Ok (infeasible e)
+  | Partition.Unsupported msg -> Error (Protocol.bad_request msg)
 
 (* ---------- sweep ---------- *)
 
@@ -163,7 +32,7 @@ let sweep_result ?(metrics = Metrics.null) chain ~ks ~algorithm =
 
 let verify_result ~rounds ~seed =
   let checked, failures =
-    Tlp_baselines.Exhaustive.fuzz (Rng.create seed) ~rounds
+    Tlp_baselines.Exhaustive.fuzz (Tlp_util.Rng.create seed) ~rounds
   in
   Json.Obj
     [
@@ -278,10 +147,7 @@ let solo_cluster_doc ~host ~port () =
           ] );
     ]
 
-let handle ~state ~queue_depth ~cluster ~debug ~rng ~metrics ~key request =
-  ignore (rng : Rng.t);
-  (* The split stream is reserved for randomized algorithms; every
-     built-in method is deterministic (see .mli). *)
+let handle ~state ~queue_depth ~cluster ~debug ~metrics ~key request =
   match (request : Protocol.request) with
   | Protocol.Partition { instance; k; algorithm } ->
       fill state key (fun () ->
@@ -407,7 +273,7 @@ let handle ~state ~queue_depth ~cluster ~debug ~rng ~metrics ~key request =
                             | Ok (sol, m) ->
                                 mode := Some m;
                                 Ok
-                                  (bandwidth_chain_doc ~k
+                                  (Partition.bandwidth_chain_doc ~k
                                      ~component_weights:
                                        (Tlp_core.Incremental.component_weights
                                           incr

@@ -19,8 +19,11 @@ val partition_result :
   k:int ->
   algorithm:Protocol.partition_algorithm ->
   (Tlp_util.Json_out.t, Protocol.error) result
-(** The direct library call.  [Error] only for structurally unsolvable
-    combinations (bandwidth objective on a non-star tree — Theorem 1).
+(** {!Tlp_engine.Partition.solve}, the dispatch [tlp_cli partition]
+    also runs, mapped to the wire: an infeasible [k] is an
+    [{"infeasible": ...}] document, and the one structurally unsolvable
+    combination (bandwidth objective on a non-star tree — Theorem 1) is
+    a [bad_request] [Error].
     [workspace] is reusable solver scratch for the chain-bandwidth
     path (ignored by the other solvers); the server checks one out of
     its {!Workspaces} pool per request. *)
@@ -72,7 +75,6 @@ val handle :
   queue_depth:(unit -> int) ->
   cluster:(unit -> Tlp_util.Json_out.t) ->
   debug:bool ->
-  rng:Tlp_util.Rng.t ->
   metrics:Tlp_util.Metrics.t ->
   key:Cache.key option ->
   Protocol.request ->
@@ -84,7 +86,5 @@ val handle :
     stored under it ([None] stores nothing).  Solves run unlocked — two
     concurrent misses on one key may both compute, never block each
     other — the chain-bandwidth ones on a workspace from the {!State}'s
-    {!Workspaces} pool.  [metrics] is the request's private sink; [rng]
-    its split stream, reserved for randomized algorithms (every
-    built-in solver is deterministic; [verify] seeds from its own
-    parameter).  [debug] gates the [sleep] test method. *)
+    {!Workspaces} pool.  [metrics] is the request's private sink.
+    [debug] gates the [sleep] test method. *)

@@ -29,13 +29,13 @@ let priority_string = function
   | Interactive -> "interactive"
   | Batch -> "batch"
 
-type partition_algorithm = Bandwidth | Bottleneck | Procmin | Pipeline
+type partition_algorithm = Tlp_engine.Partition.objective =
+  | Bandwidth
+  | Bottleneck
+  | Procmin
+  | Pipeline
 
-let partition_algorithm_string = function
-  | Bandwidth -> "bandwidth"
-  | Bottleneck -> "bottleneck"
-  | Procmin -> "procmin"
-  | Pipeline -> "pipeline"
+let partition_algorithm_string = Tlp_engine.Partition.objective_name
 
 type request =
   | Partition of {
@@ -173,14 +173,15 @@ let max_verify_rounds = 10_000
 let max_sleep_ms = 60_000
 
 let parse_partition_algorithm params =
+  let table = Tlp_engine.Partition.objectives in
   match Option.map (as_string "algorithm") (field "algorithm" params) with
-  | None | Some "bandwidth" -> Bandwidth
-  | Some "bottleneck" -> Bottleneck
-  | Some "procmin" -> Procmin
-  | Some "pipeline" -> Pipeline
-  | Some other ->
-      reject "unknown algorithm %S (bandwidth | bottleneck | procmin | pipeline)"
-        other
+  | None -> Bandwidth
+  | Some name -> (
+      match List.assoc_opt name table with
+      | Some objective -> objective
+      | None ->
+          reject "unknown algorithm %S (%s)" name
+            (String.concat " | " (List.map fst table)))
 
 (* Weight deltas arrive as ["vertex"|"edge", index, delta] triples —
    positional, so the v1 and v2 framings carry the same information per

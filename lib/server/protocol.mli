@@ -41,9 +41,17 @@ type priority = Interactive | Batch
 val priority_string : priority -> string
 (** ["interactive"] / ["batch"], the wire spellings. *)
 
-type partition_algorithm = Bandwidth | Bottleneck | Procmin | Pipeline
+type partition_algorithm = Tlp_engine.Partition.objective =
+  | Bandwidth
+  | Bottleneck
+  | Procmin
+  | Pipeline
+(** The partition objectives, re-exported from
+    {!Tlp_engine.Partition}, whose dispatch the [partition] and
+    [resolve] methods share with [tlp_cli partition]. *)
 
 val partition_algorithm_string : partition_algorithm -> string
+(** The wire name, from {!Tlp_engine.Partition.objectives}. *)
 
 type request =
   | Partition of {

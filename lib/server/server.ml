@@ -11,7 +11,6 @@ type config = {
   cache_capacity : int;
   default_timeout_ms : int option;
   max_frame_bytes : int;
-  seed : int;
   enable_debug : bool;
   session_ttl_s : float;
 }
@@ -25,7 +24,6 @@ let default_config =
     cache_capacity = 256;
     default_timeout_ms = Some 30_000;
     max_frame_bytes = 4 * 1024 * 1024;
-    seed = 0;
     enable_debug = false;
     session_ttl_s = Tlp_session.Session.default_ttl_s;
   }
@@ -40,7 +38,6 @@ type job = {
   deadline : float option;
   key : Cache.key option;
   reply : Conn.response -> float * float;
-  rng : Tlp_util.Rng.t;
   request_id : int;
   t_accept : float;  (* read off the socket, before parsing *)
   t_queued : float;  (* pushed onto the admission queue *)
@@ -181,7 +178,7 @@ let rec worker_loop t =
               Handler.handle ~state:t.server_state
                 ~queue_depth:(fun () -> Admission.length t.queue)
                 ~cluster:(cluster_doc t) ~debug:t.config.enable_debug
-                ~rng:job.rng ~metrics ~key:job.key job.frame.Protocol.request
+                ~metrics ~key:job.key job.frame.Protocol.request
             with
             | outcome -> outcome
             | exception e -> Error (Protocol.internal (Printexc.to_string e))
@@ -250,23 +247,19 @@ let handle_parsed t c ~t_accept parsed =
         send_error t ~reply ~id:frame.Protocol.id err
       in
       let job ~deadline ~key ~reply =
-        let rng =
-          State.with_lock t.server_state (fun () ->
-              State.next_rng t.server_state)
-        in
         let t_queued = Timer.now () in
-        { frame; deadline; key; reply; rng; request_id; t_accept; t_queued }
+        { frame; deadline; key; reply; request_id; t_accept; t_queued }
       in
       (* Answered inline: queue time is zero by construction. *)
       let inline answer =
         let job = job ~deadline:None ~key:None ~reply in
-        finish t job ~t_dispatch:job.t_queued ~executed:false (answer job.rng)
+        finish t job ~t_dispatch:job.t_queued ~executed:false (answer ())
       in
       if control_plane request then
-        inline (fun rng ->
+        inline (fun () ->
             Handler.handle ~state:t.server_state
               ~queue_depth:(fun () -> Admission.length t.queue)
-              ~cluster:(cluster_doc t) ~debug:t.config.enable_debug ~rng
+              ~cluster:(cluster_doc t) ~debug:t.config.enable_debug
               ~metrics:(Metrics.create ()) ~key:None request)
       else if Conn.stopping t.listener then
         refuse (Protocol.overloaded "server is draining")
@@ -302,7 +295,7 @@ let handle_parsed t c ~t_accept parsed =
         | _ -> (
             let key = Handler.cache_key ~scratch:c.dbuf request in
             match Option.bind key (Handler.lookup t.server_state) with
-            | Some entry -> inline (fun _ -> Ok (Handler.Rendered entry))
+            | Some entry -> inline (fun () -> Ok (Handler.Rendered entry))
             | None when doomed () ->
                 State.with_lock t.server_state (fun () ->
                     State.record_shed t.server_state);
@@ -362,7 +355,7 @@ let start config =
       listener;
       server_state =
         State.create ~cache_capacity:config.cache_capacity
-          ~queue_capacity:config.queue_capacity ~seed:config.seed
+          ~queue_capacity:config.queue_capacity
           ~session_ttl_s:config.session_ttl_s ();
       queue = Admission.create ~capacity:config.queue_capacity ();
       workers = [];

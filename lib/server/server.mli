@@ -34,7 +34,6 @@ type config = {
       (** per-request deadline when the frame carries none; [None] = no
           deadline *)
   max_frame_bytes : int;  (** reject longer unterminated frames *)
-  seed : int;  (** roots the per-request RNG streams *)
   enable_debug : bool;  (** expose the [sleep] test method *)
   session_ttl_s : float;
       (** idle-session eviction threshold (PROTOCOL.md §9); [<= 0.0]
@@ -43,7 +42,7 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:7171], 4 jobs, queue 64, cache 256, 30s default timeout,
-    4 MiB frames, seed 0, debug off, 600s session TTL. *)
+    4 MiB frames, debug off, 600s session TTL. *)
 
 type t
 

@@ -1,5 +1,4 @@
 module Metrics = Tlp_util.Metrics
-module Rng = Tlp_util.Rng
 module Json = Tlp_util.Json_out
 module Timer = Tlp_util.Timer
 
@@ -29,7 +28,6 @@ type t = {
   metrics : Metrics.t;
   started_at : float;
   queue_capacity : int;
-  rng : Rng.t;  (* master generator; split under the lock per request *)
   requests : (string, int) Hashtbl.t;  (* wire method -> count *)
   errors : (string, int) Hashtbl.t;  (* error code -> count *)
   mutable request_serial : int;  (* server-assigned per-request id *)
@@ -41,14 +39,13 @@ type t = {
   mutable shed : int;  (* doomed requests answered [overloaded] unqueued *)
 }
 
-let create ~cache_capacity ~queue_capacity ~seed ~session_ttl_s () =
+let create ~cache_capacity ~queue_capacity ~session_ttl_s () =
   {
     mutex = Mutex.create ();
     cache = Cache.create ~capacity:cache_capacity;
     metrics = Metrics.create ();
     started_at = Timer.now ();
     queue_capacity;
-    rng = Rng.create seed;
     requests = Hashtbl.create 8;
     errors = Hashtbl.create 8;
     request_serial = 0;
@@ -70,8 +67,6 @@ let sessions t = t.sessions
 let metrics t = t.metrics
 let started_at t = t.started_at
 let queue_capacity t = t.queue_capacity
-
-let next_rng t = Rng.split t.rng
 
 let bump table key =
   Hashtbl.replace table key

@@ -48,12 +48,10 @@ val slow_ring_capacity : int
 val create :
   cache_capacity:int ->
   queue_capacity:int ->
-  seed:int ->
   session_ttl_s:float ->
   unit ->
   t
-(** Fresh state; [seed] roots the per-request RNG streams handed to
-    {!next_rng}.  [queue_capacity] is recorded for [stats] reporting.
+(** Fresh state.  [queue_capacity] is recorded for [stats] reporting.
     [session_ttl_s] is the idle-eviction threshold of the session store
     ([<= 0.0] disables eviction). *)
 
@@ -81,11 +79,6 @@ val started_at : t -> float
 
 val queue_capacity : t -> int
 (** Immutable; safe without the lock. *)
-
-val next_rng : t -> Tlp_util.Rng.t
-(** Split a fresh per-request RNG stream off the server's master
-    generator.  Streams are a function of the seed and admission order
-    alone, mirroring [Batch.solve_batch]'s split-up-front discipline. *)
 
 val record_request : t -> meth:string -> int
 (** Count one parsed request under its wire method and return the

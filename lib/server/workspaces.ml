@@ -19,16 +19,16 @@ module Workspace = Tlp_core.Bandwidth_hitting.Workspace
 type t = {
   mutex : Mutex.t;
   idle : (int, Workspace.t list) Hashtbl.t; (* class exponent -> idle *)
-  max_per_class : int;
   mutable created : int;
   mutable reused : int;
 }
 
-let create ?(max_per_class = 8) () =
+let max_per_class = 8
+
+let create () =
   {
     mutex = Mutex.create ();
     idle = Hashtbl.create 8;
-    max_per_class;
     created = 0;
     reused = 0;
   }
@@ -64,7 +64,7 @@ let checkout t ~n =
 let checkin t (cls, ws) =
   Mutex.lock t.mutex;
   let idle = Option.value (Hashtbl.find_opt t.idle cls) ~default:[] in
-  if List.length idle < t.max_per_class then
+  if List.length idle < max_per_class then
     Hashtbl.replace t.idle cls (ws :: idle);
   Mutex.unlock t.mutex
 

@@ -3,13 +3,12 @@
     Workspaces are keyed by the power-of-two capacity class of the
     instance size; checkout is strictly exclusive, so a workspace is
     never shared between concurrent solves (the module's safety
-    contract). At most [max_per_class] idle workspaces are retained
+    contract). At most 8 idle workspaces are retained
     per class — excess returns are dropped for the GC. *)
 
 type t
 
-val create : ?max_per_class:int -> unit -> t
-(** [max_per_class] defaults to 8. *)
+val create : unit -> t
 
 val with_workspace :
   t -> n:int -> (Tlp_core.Bandwidth_hitting.Workspace.t -> 'a) -> 'a

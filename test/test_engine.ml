@@ -216,16 +216,16 @@ let test_ksweep_deque_agrees_with_hitting () =
   check_bool "deque and hitting sweeps agree" true
     (weights Ksweep.Deque = weights Ksweep.Hitting)
 
+(* The built [tlp_cli] sits next to this test's own directory in the
+   build tree. *)
+let cli =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/tlp_cli.exe")
+
 (* [tlp_cli sweep]'s text table names the K of every row, an
-   infeasible one included, in the sweep's sorted, deduplicated order.
-   The binary sits next to this test's own directory in the build
-   tree. *)
+   infeasible one included, in the sweep's sorted, deduplicated order. *)
 let test_cli_sweep_text_names_infeasible_k () =
-  let cli =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat Filename.parent_dir_name "bin/tlp_cli.exe")
-  in
   let instance = Filename.temp_file "tlp_sweep" ".txt" in
   Out_channel.with_open_text instance (fun oc ->
       output_string oc "chain\n12 7 9 14 6\n40 3 25 8\n");
@@ -257,6 +257,81 @@ let test_cli_sweep_text_names_infeasible_k () =
   check_bool "K=5 is the infeasible row" true
     (List.map infeasible rows = [ true; false; false ])
 
+(* [tlp_cli partition] runs the server's dispatch: over every
+   (instance kind, objective) pair its JSON output, [metrics] dropped,
+   is [Handler.partition_result]'s document, and the two non-answers
+   exit 1 with the server's message. *)
+let test_cli_partition_is_server_document () =
+  let module Handler = Tlp_server.Handler in
+  let module Protocol = Tlp_server.Protocol in
+  let module Io = Tlp_graph.Instance_io in
+  let module Json = Tlp_util.Json_out in
+  let chain = Io.Chain_instance (Chain.of_lists [ 12; 7; 9; 14; 6 ] [ 40; 3; 25; 8 ])
+  and tree =
+    Io.Tree_instance
+      (Tlp_graph.Tree.of_parents ~weights:[| 9; 5; 7; 4 |]
+         ~parents:[| (0, 12); (0, 3); (1, 8) |])
+  and star =
+    Io.Tree_instance
+      (Tlp_graph.Tree.of_parents ~weights:[| 6; 4; 5; 3 |]
+         ~parents:[| (0, 7); (0, 2); (0, 9) |])
+  in
+  let run instance ~k ~algorithm =
+    let path = Filename.temp_file "tlp_partition" ".txt" in
+    Io.save path instance;
+    let out, inp, err =
+      Unix.open_process_args_full cli
+        [|
+          cli; "partition"; "-i"; path; "-k"; string_of_int k; "-a";
+          Protocol.partition_algorithm_string algorithm; "--metrics"; "json";
+        |]
+        (Unix.environment ())
+    in
+    let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
+    let status = Unix.close_process_full (out, inp, err) in
+    Sys.remove path;
+    (status, stdout, stderr)
+  in
+  let all = Tlp_engine.Partition.objectives in
+  List.iter
+    (fun (instance, k, objectives) ->
+      List.iter
+        (fun (name, algorithm) ->
+          let status, stdout, _ = run instance ~k ~algorithm in
+          check_bool (name ^ " exits 0") true (status = Unix.WEXITED 0);
+          let printed =
+            match Json.parse stdout with
+            | Ok (Json.Obj fields) ->
+                Json.to_string (Json.Obj (List.remove_assoc "metrics" fields))
+            | _ -> Alcotest.fail (name ^ ": output is not a JSON object")
+          in
+          match Handler.partition_result instance ~k ~algorithm with
+          | Ok doc ->
+              Alcotest.(check string) name (Json.to_string doc) printed
+          | Error _ -> Alcotest.fail (name ^ ": the server refuses it"))
+        objectives)
+    [
+      (chain, 21, all);
+      (tree, 12, List.remove_assoc "bandwidth" all);
+      (star, 12, [ ("bandwidth", Protocol.Bandwidth) ]);
+    ];
+  let fails_like_server what instance ~k ~algorithm message =
+    let status, stdout, stderr = run instance ~k ~algorithm in
+    check_bool (what ^ " exits 1") true (status = Unix.WEXITED 1);
+    Alcotest.(check string) (what ^ " prints nothing") "" stdout;
+    Alcotest.(check string) what ("error: " ^ message ^ "\n") stderr
+  in
+  (match Handler.partition_result chain ~k:5 ~algorithm:Protocol.Bandwidth with
+  | Ok (Json.Obj [ ("infeasible", Json.String msg) ]) ->
+      fails_like_server "infeasible K" chain ~k:5 ~algorithm:Protocol.Bandwidth
+        msg
+  | _ -> Alcotest.fail "K=5 is not infeasible");
+  match Handler.partition_result tree ~k:12 ~algorithm:Protocol.Bandwidth with
+  | Error { Protocol.message; _ } ->
+      fails_like_server "non-star bandwidth" tree ~k:12
+        ~algorithm:Protocol.Bandwidth message
+  | Ok _ -> Alcotest.fail "bandwidth on a non-star tree is solved"
+
 let suite =
   [
     Alcotest.test_case "parallel_map preserves input order" `Quick
@@ -285,4 +360,6 @@ let suite =
       test_ksweep_deque_agrees_with_hitting;
     Alcotest.test_case "tlp_cli sweep text names the infeasible K" `Quick
       test_cli_sweep_text_names_infeasible_k;
+    Alcotest.test_case "tlp_cli partition prints the server's document"
+      `Quick test_cli_partition_is_server_document;
   ]

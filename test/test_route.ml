@@ -192,6 +192,17 @@ let test_hedge_no_secondary () =
   check_string "primary's value" "primary" v.Hedge.value;
   check_bool "nothing fired without a replica" false v.Hedge.fired
 
+(* Without a replica there is nothing to race: the primary runs on the
+   caller's own thread. *)
+let test_hedge_no_secondary_runs_inline () =
+  let caller = Thread.id (Thread.self ()) in
+  let v =
+    Hedge.race ~delay_s:0.01 (fun () ->
+        (Hedge.Good, Thread.id (Thread.self ())))
+  in
+  check_int "primary ran on the caller's thread" caller v.Hedge.value;
+  check_int "nothing cancelled" 0 v.Hedge.cancelled
+
 (* ---------- Routing_stale classification ---------- *)
 
 (* An ephemeral port from a server that is fully drained: connecting
@@ -453,6 +464,8 @@ let suite =
       test_hedge_double_failure_keeps_primary_error;
     Alcotest.test_case "hedge: no replica degenerates cleanly" `Quick
       test_hedge_no_secondary;
+    Alcotest.test_case "hedge: no replica runs on the caller's thread"
+      `Quick test_hedge_no_secondary_runs_inline;
     Alcotest.test_case "client: burned budget becomes Routing_stale" `Quick
       test_routing_stale_after_budget;
     Alcotest.test_case "router: proxied bytes identical to direct" `Quick

@@ -184,8 +184,7 @@ let test_instance_digest_alloc_budget () =
    promoted over 1000 requests, so nothing is counted twice. *)
 let test_v2_hit_alloc_reduction () =
   let state =
-    State.create ~cache_capacity:64 ~queue_capacity:64 ~seed:0
-      ~session_ttl_s:0.0 ()
+    State.create ~cache_capacity:64 ~queue_capacity:64 ~session_ttl_s:0.0 ()
   in
   let chain =
     Tlp_graph.Chain_gen.figure2 (Rng.create 11) ~n:200 ~max_weight:20
@@ -204,7 +203,7 @@ let test_v2_hit_alloc_reduction () =
         Bytes.of_string (Bytebuf.contents fbuf)
     | Error _ -> Alcotest.fail "unparseable request line"
   in
-  let rng = Rng.create 3 and metrics = Tlp_util.Metrics.create () in
+  let metrics = Tlp_util.Metrics.create () in
   let handle request =
     let key = Handler.cache_key request in
     match Option.bind key (Handler.lookup state) with
@@ -213,7 +212,7 @@ let test_v2_hit_alloc_reduction () =
         match
           Handler.handle ~state ~queue_depth:(fun () -> 0)
             ~cluster:(Handler.solo_cluster_doc ~host:"127.0.0.1" ~port:0)
-            ~debug:false ~rng ~metrics ~key request
+            ~debug:false ~metrics ~key request
         with
         | Ok payload -> payload
         | Error _ -> Alcotest.fail "request rejected")

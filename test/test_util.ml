@@ -1,8 +1,7 @@
-(* tlp_util: rng, stats, minheap, texttab, csv, timer.  The metrics
+(* tlp_util: rng, minheap, texttab, csv, timer.  The metrics
    subsystem has its own suite in test_metrics.ml. *)
 
 open Helpers
-module Stats = Tlp_util.Stats
 module Minheap = Tlp_util.Minheap
 module Texttab = Tlp_util.Texttab
 module Csv_out = Tlp_util.Csv_out
@@ -64,28 +63,6 @@ let test_rng_exponential_positive () =
   for _ = 1 to 500 do
     check_bool "positive" true (Rng.exponential rng 10.0 >= 0.0)
   done
-
-let test_stats_known () =
-  let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean a);
-  Alcotest.(check (float 1e-6)) "stddev" 1.290994 (Stats.stddev a);
-  Alcotest.(check (float 1e-9)) "median" 2.5 (Stats.percentile a 50.0);
-  Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile a 0.0);
-  Alcotest.(check (float 1e-9)) "p100" 4.0 (Stats.percentile a 100.0)
-
-let test_stats_summary () =
-  let s = Stats.summarize [| 5.0; 1.0; 3.0 |] in
-  check_int "count" 3 s.Stats.count;
-  Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 5.0 s.Stats.max;
-  Alcotest.(check (float 1e-9)) "median" 3.0 s.Stats.median
-
-let test_stats_edge_cases () =
-  Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Stats.mean [||]);
-  Alcotest.(check (float 1e-9)) "stddev single" 0.0 (Stats.stddev [| 7.0 |]);
-  Alcotest.check_raises "summarize empty"
-    (Invalid_argument "Stats.summarize: empty array") (fun () ->
-      ignore (Stats.summarize [||]))
 
 let prop_minheap_sorts =
   qcheck ~count:200 "minheap pops in sorted order"
@@ -163,9 +140,6 @@ let suite =
       test_rng_split_independent;
     Alcotest.test_case "exponential samples are positive" `Quick
       test_rng_exponential_positive;
-    Alcotest.test_case "stats on known data" `Quick test_stats_known;
-    Alcotest.test_case "summary fields" `Quick test_stats_summary;
-    Alcotest.test_case "stats edge cases" `Quick test_stats_edge_cases;
     prop_minheap_sorts;
     Alcotest.test_case "minheap basics" `Quick test_minheap_basics;
     Alcotest.test_case "texttab renders aligned" `Quick test_texttab_render;
